@@ -52,13 +52,11 @@ from .errors import (
     EmptyScenarioSetError,
     EmptyTailError,
     InsufficientDataError,
-    NoConvergenceError,
     ParseError,
     ShapeMismatchError,
     TailriskError,
 )
 from .measures import (
-    ExpectileSolverConfig,
     MeasureFamily,
     MeasureKind,
     es_quantile_approximation,
@@ -94,7 +92,6 @@ __all__ = [
     # measures
     "MeasureFamily",
     "MeasureKind",
-    "ExpectileSolverConfig",
     "mean",
     "variance",
     "value_at_risk",
@@ -143,7 +140,6 @@ __all__ = [
     "TailriskError",
     "EmptySampleError",
     "ShapeMismatchError",
-    "NoConvergenceError",
     "EmptyTailError",
     "EmptyScenarioSetError",
     "InsufficientDataError",

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import DiscreteDistribution, Level, as_expectile_level, as_quantile_level
+from .distribution import DiscreteDistribution, Level, LevelKind, level_value
 from .errors import DegenerateDenominatorError, ShapeMismatchError
 from .measures import MeasureFamily, MeasureKind, evaluate, expectile, expected_shortfall, risk_adjusted_capital
 
@@ -141,7 +141,7 @@ class AllocationResult:
 
 def es_contributions(panel: LossPanel, alpha: "Level | float") -> AllocationResult:
     """Expected-shortfall contributions E[L_i | tail weighting] per position."""
-    a = as_quantile_level(alpha)
+    a = level_value(alpha, LevelKind.QUANTILE)
     portfolio = panel.portfolio_losses()
     law = panel.portfolio_law()
     q = law.quantile(a)
@@ -174,7 +174,7 @@ def expectile_contributions(panel: LossPanel, tau: "Level | float") -> Allocatio
     below it 1 - tau, normalized to total mass one. Requires tau >= 1/2 (the
     coherent range).
     """
-    t = as_expectile_level(tau)
+    t = level_value(tau, LevelKind.EXPECTILE)
     if t < 0.5:
         raise ValueError(f"expectile contributions require tau >= 1/2, got {t}")
     portfolio = panel.portfolio_losses()

@@ -40,9 +40,9 @@ from .distribution import (
     ComonotonePair,
     DiscreteDistribution,
     Level,
-    as_expectile_level,
-    as_quantile_level,
+    LevelKind,
     comonotone_sum,
+    level_value,
 )
 from .errors import (
     CounterexampleNotFoundError,
@@ -106,7 +106,7 @@ def violation_process(
     alpha: "Level | float",
 ) -> ViolationSeries:
     """Indicator series 1{loss > forecast}; strict inequality by construction."""
-    a = as_quantile_level(alpha)
+    a = level_value(alpha, LevelKind.QUANTILE)
     forecasts = np.asarray(var_forecasts, dtype=float).ravel()
     losses = np.asarray(realizations, dtype=float).ravel()
     if forecasts.size != losses.size:
@@ -242,7 +242,7 @@ def es_quantile_backtest(
     violation process is run through the coverage and independence tests; the
     joint verdict Bonferroni-adjusts coverage to significance/K.
     """
-    a = as_quantile_level(alpha)
+    a = level_value(alpha, LevelKind.QUANTILE)
     if not 0.0 < significance <= 0.5:
         raise ValueError(f"significance must lie in (0, 0.5], got {significance}")
     k_points = len(quantile_forecasts)
@@ -403,12 +403,11 @@ def pit_independence_test(
     notes = []
     for k in sorted(powers):
         x = p.z**k
-        if np.ptp(x) == 0.0:  # constant series: centering leaves only rounding
-            notes.append(f"power {k}: constant series")
-            continue
         centered = x - x.mean()
         denom = float(np.dot(centered, centered))
-        if denom == 0.0:
+        # centering a constant series leaves only rounding, and a spread below
+        # about 1e-154 squares to zero; neither has autocorrelations
+        if np.ptp(x) == 0.0 or denom == 0.0:
             notes.append(f"power {k}: constant series")
             continue
         q_stat = 0.0
@@ -463,7 +462,7 @@ def find_expectile_comonotone_counterexample(
     ``min_gap``; raises :class:`CounterexampleNotFoundError` if the grid is
     exhausted, in which case widen it.
     """
-    t = as_expectile_level(tau)
+    t = level_value(tau, LevelKind.EXPECTILE)
     if not 0.5 < t < 1.0:
         raise ValueError(f"the search targets tau in (1/2, 1), got {t}")
     atoms = np.asarray(factor_atoms, dtype=float)
@@ -514,7 +513,7 @@ def find_var_superadditivity_example(
     joint law is the independent product. Returns the first pair (in
     deterministic order) with VaR(L1 + L2) > VaR(L1) + VaR(L2).
     """
-    a = as_quantile_level(alpha)
+    a = level_value(alpha, LevelKind.QUANTILE)
     for v1, v2 in itertools.product(loss_values, repeat=2):
         for p1, p2 in itertools.product(tail_probabilities, repeat=2):
             rows = np.array(

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,6 +129,21 @@ def _scoring_function(config: RunConfig) -> ScoringFunction:
     raise ValueError("--score is required (or use --two-step)")
 
 
+@contextmanager
+def _open_csv(path: Path, reader_type):
+    """Open ``path`` with a csv reader of ``reader_type``; a malformed record,
+    such as a cell longer than the csv field size limit, becomes a
+    :class:`ParseError` at the line where the reader stopped."""
+    with path.open(newline="") as handle:
+        reader = reader_type(handle)
+        try:
+            yield reader
+        except csv.Error as exc:
+            # a DictReader updates its own line_num only after a whole record
+            line = getattr(reader, "reader", reader).line_num
+            raise ParseError(f"malformed CSV: {exc}", row=line) from None
+
+
 def parse_panel_csv(path: str | Path) -> LossPanel:
     """Read a loss panel: a header row of position names, then numeric rows.
 
@@ -136,8 +152,7 @@ def parse_panel_csv(path: str | Path) -> LossPanel:
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"no such input file: {path}")
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
+    with _open_csv(path, csv.reader) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -210,8 +225,7 @@ def parse_forecasts_csv(path: str | Path) -> list[ForecastRecord]:
         raise ParseError(f"no such input file: {path}")
     base_dir = path.parent
     scenario_cache: dict[Path, tuple[float, ...]] = {}
-    with path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
+    with _open_csv(path, csv.DictReader) as reader:
         columns = [c.strip() for c in reader.fieldnames or []]
         if "realized" not in columns:
             raise ParseError("missing required column 'realized'", row=1)

@@ -28,8 +28,7 @@ __all__ = [
     "ComonotonePair",
     "comonotone_sum",
     "wasserstein1",
-    "as_quantile_level",
-    "as_expectile_level",
+    "level_value",
 ]
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -66,28 +65,20 @@ class Level:
         return cls(float(value), LevelKind.EXPECTILE)
 
 
-def as_quantile_level(level: "Level | float") -> float:
-    """Return the float value of a quantile level, rejecting expectile tags."""
-    if isinstance(level, Level):
-        if level.kind is not LevelKind.QUANTILE:
-            raise ValueError("expected a quantile level, got an expectile level")
-        return level.value
-    value = float(level)
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"level must lie strictly inside (0, 1), got {value}")
-    return value
+_LEVEL_NAMES = {LevelKind.QUANTILE: "a quantile level", LevelKind.EXPECTILE: "an expectile level"}
 
 
-def as_expectile_level(level: "Level | float") -> float:
-    """Return the float value of an expectile level, rejecting quantile tags."""
-    if isinstance(level, Level):
-        if level.kind is not LevelKind.EXPECTILE:
-            raise ValueError("expected an expectile level, got a quantile level")
-        return level.value
-    value = float(level)
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"level must lie strictly inside (0, 1), got {value}")
-    return value
+def level_value(level: "Level | float", kind: LevelKind) -> float:
+    """Return the float value of a level of role ``kind``.
+
+    A :class:`Level` of the other role is rejected; a plain float is checked
+    by building a :class:`Level` from it.
+    """
+    if not isinstance(level, Level):
+        level = Level(float(level), kind)
+    elif level.kind is not kind:
+        raise ValueError(f"expected {_LEVEL_NAMES[kind]}, got {_LEVEL_NAMES[level.kind]}")
+    return level.value
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,17 +103,26 @@ class DiscreteDistribution:
             raise ShapeMismatchError(
                 f"{atoms.size} atoms but {weights.size} weights"
             )
-        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):
+        if not (np.isfinite(atoms).all() and np.isfinite(weights).all()):
             raise ValueError("atoms and weights must be finite")
-        if np.any(weights <= 0.0):
+        if (weights <= 0.0).any():
             raise ValueError("all weights must be strictly positive")
-        merged_atoms, inverse = np.unique(atoms, return_inverse=True)
-        merged_weights = np.bincount(inverse, weights=weights)
-        total = math.fsum(merged_weights.tolist())
+        if (weights == weights[0]).all():
+            # equal weights: cumulative weights from integer atom counts, so
+            # order-statistic boundaries like 95/100 are hit exactly at any size
+            n = atoms.size
+            merged_atoms, counts = np.unique(atoms, return_counts=True)
+            merged_weights = counts / n
+            cum = np.cumsum(counts) / n
+            total = float(weights[0]) * n  # the exact input sum, rounded once
+        else:
+            merged_atoms, inverse = np.unique(atoms, return_inverse=True)
+            merged_weights = np.bincount(inverse, weights=weights)
+            cum = np.cumsum(merged_weights)
+            cum[-1] = 1.0
+            total = math.fsum(merged_weights.tolist())
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {total!r}")
-        cum = np.cumsum(merged_weights)
-        cum[-1] = 1.0
         merged_atoms.setflags(write=False)
         merged_weights.setflags(write=False)
         cum.setflags(write=False)
@@ -132,22 +132,11 @@ class DiscreteDistribution:
 
     @classmethod
     def from_sample(cls, values: Sequence[float]) -> "DiscreteDistribution":
-        """Empirical law of a sample: equal weights 1/n, duplicates merged.
-
-        The cumulative weights are built from integer atom counts so that
-        order-statistic boundaries like 95/100 are hit exactly.
-        """
+        """Empirical law of a sample: equal weights 1/n, duplicates merged."""
         arr = np.asarray(values, dtype=float).ravel()
         if arr.size == 0:
             raise EmptySampleError("cannot build a distribution from an empty sample")
-        uniq, counts = np.unique(arr, return_counts=True)
-        n = arr.size
-        dist = cls(uniq, counts / n)
-        cum = np.cumsum(counts) / n
-        cum[-1] = 1.0
-        cum.setflags(write=False)
-        object.__setattr__(dist, "_cum", cum)
-        return dist
+        return cls(arr, np.full(arr.size, 1.0 / arr.size))
 
     @property
     def cum_weights(self) -> np.ndarray:

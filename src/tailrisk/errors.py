@@ -13,10 +13,6 @@ class ShapeMismatchError(TailriskError):
     """Parallel sequences disagree in length or shape."""
 
 
-class NoConvergenceError(TailriskError):
-    """An iterative solver exhausted its iteration budget."""
-
-
 class EmptyTailError(TailriskError):
     """A tail conditional expectation had no observations at or above its threshold."""
 

@@ -20,19 +20,11 @@ from enum import Enum
 
 import numpy as np
 
-from .distribution import (
-    DiscreteDistribution,
-    Level,
-    LevelKind,
-    as_expectile_level,
-    as_quantile_level,
-)
-from .errors import NoConvergenceError
+from .distribution import DiscreteDistribution, Level, LevelKind, level_value
 
 __all__ = [
     "MeasureFamily",
     "MeasureKind",
-    "ExpectileSolverConfig",
     "mean",
     "variance",
     "value_at_risk",
@@ -111,28 +103,6 @@ class MeasureKind:
         return f"{self.family.value}@{self.level.value:g}"
 
 
-@dataclass(frozen=True)
-class ExpectileSolverConfig:
-    """Tuning for the expectile solver.
-
-    ``abs_tolerance`` bounds the residual of the defining first-order
-    condition at the returned value; when omitted it defaults to
-    1e-12 times the magnitude of the largest atom (at least 1e-12).
-    """
-
-    abs_tolerance: float | None = None
-    max_iterations: int = 200
-
-    def __post_init__(self) -> None:
-        if self.abs_tolerance is not None and not self.abs_tolerance > 0.0:
-            raise ValueError("abs_tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-
-_DEFAULT_SOLVER = ExpectileSolverConfig()
-
-
 def mean(d: DiscreteDistribution) -> float:
     """Expected loss of the law."""
     return float(np.dot(d.atoms, d.weights))
@@ -146,44 +116,23 @@ def variance(d: DiscreteDistribution) -> float:
 
 def value_at_risk(d: DiscreteDistribution, alpha: "Level | float") -> float:
     """The alpha-quantile of the loss law, inf{l : P(L <= l) >= alpha}."""
-    return d.quantile(as_quantile_level(alpha))
+    return d.quantile(level_value(alpha, LevelKind.QUANTILE))
 
 
 def expected_shortfall(d: DiscreteDistribution, alpha: "Level | float") -> float:
     """Average of the quantiles above ``alpha``: (1/(1-a)) * integral of q_u du.
 
     On a finite law the quantile function is a step function, so the integral
-    is a finite sum over the cumulative-weight segments above ``alpha``. In
-    debug mode the result is cross-checked against the tail-conditional form
-    with its discontinuity correction.
+    is a finite sum over the cumulative-weight segments above ``alpha``.
     """
-    a = as_quantile_level(alpha)
+    a = level_value(alpha, LevelKind.QUANTILE)
     cum = d.cum_weights
     lower = np.maximum(np.concatenate(([0.0], cum[:-1])), a)
     seg = np.clip(cum - lower, 0.0, None)
-    es = float(np.dot(d.atoms, seg)) / (1.0 - a)
-    if __debug__:
-        cond = _expected_shortfall_conditional(d, a)
-        assert abs(es - cond) <= 1e-11 * max(1.0, abs(es)), (
-            f"expected shortfall forms disagree: integral {es!r} vs conditional {cond!r}"
-        )
-    return es
+    return float(np.dot(d.atoms, seg)) / (1.0 - a)
 
 
-def _expected_shortfall_conditional(d: DiscreteDistribution, a: float) -> float:
-    # E[L | L >= q] + (E[L | L >= q] - q) * (P[L >= q]/(1-a) - 1)
-    q = d.quantile(a)
-    start = int(np.searchsorted(d.atoms, q, side="left"))
-    p_tail = 1.0 - d.cdf_left(q)
-    tail_mean = float(np.dot(d.atoms[start:], d.weights[start:])) / p_tail
-    return tail_mean + (tail_mean - q) * (p_tail / (1.0 - a) - 1.0)
-
-
-def expectile(
-    d: DiscreteDistribution,
-    tau: "Level | float",
-    config: ExpectileSolverConfig = _DEFAULT_SOLVER,
-) -> float:
+def expectile(d: DiscreteDistribution, tau: "Level | float") -> float:
     """The tau-expectile: the unique root of
     tau * E[(L - l)+] = (1 - tau) * E[(l - L)+].
 
@@ -191,10 +140,10 @@ def expectile(
     strictly decreasing, and piecewise linear with breakpoints at the atoms,
     so the root is bracketed by the support and found by bisection over the
     atoms followed by the closed-form solution on the linear piece containing
-    the sign change. No iterative tuning is involved; the result is exact up
-    to floating-point rounding.
+    the sign change. Bisection ends within ceil(log2 n) steps and no iterative
+    tuning is involved; the result is exact up to floating-point rounding.
     """
-    t = as_expectile_level(tau)
+    t = level_value(tau, LevelKind.EXPECTILE)
     atoms = d.atoms
     n = atoms.size
     if n == 1:
@@ -212,13 +161,7 @@ def expectile(
 
     # smallest atom index where the imbalance is <= 0; index 0 is always > 0
     lo, hi = 0, n - 1
-    iterations = 0
     while hi - lo > 1:
-        iterations += 1
-        if iterations > config.max_iterations:
-            raise NoConvergenceError(
-                f"expectile bisection exceeded {config.max_iterations} iterations"
-            )
         mid = (lo + hi) // 2
         if imbalance_at_atom(mid) <= 0.0:
             hi = mid
@@ -226,26 +169,11 @@ def expectile(
             lo = mid
 
     if imbalance_at_atom(hi) == 0.0:
-        root = float(atoms[hi])
-    else:
-        # linear piece (atoms[lo], atoms[hi]): atoms up to lo sit below the root
-        num = t * (total_aw - cum_aw[lo]) + (1.0 - t) * cum_aw[lo]
-        den = t * (1.0 - cum_w[lo]) + (1.0 - t) * cum_w[lo]
-        root = min(max(num / den, float(atoms[lo])), float(atoms[hi]))
-
-    tol = config.abs_tolerance
-    if tol is None:
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(atoms))))
-    gap_above = np.clip(atoms - root, 0.0, None)
-    gap_below = np.clip(root - atoms, 0.0, None)
-    residual = t * float(np.dot(gap_above, weights)) - (1.0 - t) * float(
-        np.dot(gap_below, weights)
-    )
-    if abs(residual) > tol:
-        raise NoConvergenceError(
-            f"expectile residual {residual!r} exceeds tolerance {tol!r}"
-        )
-    return root
+        return float(atoms[hi])
+    # linear piece (atoms[lo], atoms[hi]): atoms up to lo sit below the root
+    num = t * (total_aw - cum_aw[lo]) + (1.0 - t) * cum_aw[lo]
+    den = t * (1.0 - cum_w[lo]) + (1.0 - t) * cum_w[lo]
+    return min(max(num / den, float(atoms[lo])), float(atoms[hi]))
 
 
 def risk_adjusted_capital(d: DiscreteDistribution, kind: MeasureKind) -> float:
@@ -277,7 +205,7 @@ def es_quantile_approximation(
     k = 0, ..., points-1. Because the quantile function is nondecreasing this
     left-endpoint Riemann sum never exceeds the exact expected shortfall.
     """
-    a = as_quantile_level(alpha)
+    a = level_value(alpha, LevelKind.QUANTILE)
     if not 2 <= points <= 16:
         raise ValueError(f"points must lie in [2, 16], got {points}")
     levels = a + np.arange(points) * (1.0 - a) / points

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import Level, as_quantile_level
+from .distribution import Level, LevelKind, level_value
 from .errors import (
     EmptySampleError,
     EmptyScenarioSetError,
@@ -210,7 +210,7 @@ def two_step_es_forecast(
     discrete expected shortfall carries when the tail probability is not
     exactly 1 - alpha.
     """
-    a = as_quantile_level(alpha)
+    a = level_value(alpha, LevelKind.QUANTILE)
     values = np.asarray(sample, dtype=float).ravel()
     if values.size == 0:
         raise EmptySampleError("cannot forecast from an empty sample")

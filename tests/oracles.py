@@ -1,21 +1,28 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Everything here works on raw atom/weight arrays with naive algorithms
-(linear scans, ternary search, area integrals) so that it shares no code
-path with the package implementations it checks.
+Everything here works on raw atom/weight arrays or samples with naive
+algorithms (linear scans, ternary search, area integrals, and for samples of
+up to 10^6 values a plain sort with exact integer counts) so that it shares
+no code path with the package implementations it checks.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 
-def quantile_by_scan(atoms, weights, u):
-    """Smallest atom whose running weight reaches u, by linear scan."""
-    running = 0.0
+def quantile_by_scan(atoms, weights, u, total=1):
+    """Smallest atom whose running weight reaches u, by linear scan.
+
+    With integer weights (atom counts) and their sum as ``total``, the running
+    weight is the running count over ``total`` rounded once, which is how an
+    equal-weight law must place its order-statistic boundaries.
+    """
+    running = 0
     for a, w in zip(atoms, weights):
         running += w
-        if running >= u:
+        if running / total >= u:
             return a
     return atoms[-1]
 
@@ -28,12 +35,41 @@ def cdf_left_by_counting(atoms, weights, x):
     return math.fsum(w for a, w in zip(atoms, weights) if a < x)
 
 
-def es_tail_form(atoms, weights, alpha):
-    """Tail-conditional expected shortfall with the discontinuity correction."""
-    q = quantile_by_scan(atoms, weights, alpha)
-    p_tail = math.fsum(w for a, w in zip(atoms, weights) if a >= q)
-    tail_mean = math.fsum(a * w for a, w in zip(atoms, weights) if a >= q) / p_tail
-    return tail_mean + (tail_mean - q) * (p_tail / (1.0 - alpha) - 1.0)
+def es_tail_form(atoms, weights, alpha, total=1):
+    """Tail-conditional expected shortfall with the discontinuity correction;
+    ``total`` as in :func:`quantile_by_scan`."""
+    q = quantile_by_scan(atoms, weights, alpha, total)
+    tail_weight = math.fsum(w for a, w in zip(atoms, weights) if a >= q)
+    tail_mean = math.fsum(a * w for a, w in zip(atoms, weights) if a >= q) / tail_weight
+    return tail_mean + (tail_mean - q) * (tail_weight / total / (1.0 - alpha) - 1.0)
+
+
+def order_statistic(sample, alpha):
+    """The ceil(alpha*n)-th smallest value of a sample, with ceil(alpha*n)
+    taken in exact rational arithmetic on the float ``alpha``."""
+    ys = np.sort(np.asarray(sample, dtype=float))
+    return float(ys[math.ceil(Fraction(alpha) * ys.size) - 1])
+
+
+def es_of_sample(sample, alpha):
+    """Tail-form expected shortfall of an equal-weight sample, from a numpy
+    sort, an integer count of the tail and ``math.fsum``; fast enough for
+    10^6 values."""
+    ys = np.sort(np.asarray(sample, dtype=float))
+    n = ys.size
+    q = ys[math.ceil(Fraction(alpha) * n) - 1]
+    tail = ys[np.searchsorted(ys, q, side="left"):]
+    tail_mean = math.fsum(tail.tolist()) / tail.size
+    return tail_mean + (tail_mean - q) * (tail.size / n / (1.0 - alpha) - 1.0)
+
+
+def expectile_residual(sample, tau, e):
+    """First-order condition tau*E[(L-e)+] - (1-tau)*E[(e-L)+] of an
+    equal-weight sample at ``e``, each side summed with ``math.fsum``."""
+    gaps = np.asarray(sample, dtype=float) - e
+    above = math.fsum(gaps[gaps > 0.0].tolist())
+    below = math.fsum((-gaps[gaps < 0.0]).tolist())
+    return (tau * above - (1.0 - tau) * below) / gaps.size
 
 
 def expectile_by_minimization(atoms, weights, tau, iterations=200):

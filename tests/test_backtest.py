@@ -321,6 +321,13 @@ class TestPitIndependence:
         assert res.p_value == 1.0
         assert "degenerate" in res.notes
 
+    def test_spread_that_squares_to_zero_is_degenerate(self):
+        # the range is positive, but the centered sum of squares underflows
+        z = np.array([1e-200] + [0.0] * 99)
+        res = pit_independence_test(PitSeries(z, randomized=False, rng_seed=None))
+        assert res.p_value == 1.0
+        assert "degenerate" in res.notes
+
     def test_needs_enough_data(self):
         z = np.linspace(0.0, 1.0, 5)
         with pytest.raises(InsufficientDataError):

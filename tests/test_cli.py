@@ -93,6 +93,15 @@ class TestParseForecastsCsv:
             parse_forecasts_csv(path)
         assert info.value.column == "scenario_file"
 
+    def test_oversized_cell_location(self, tmp_path):
+        path = write(
+            tmp_path / "f.csv",
+            "period,realized,var_forecast\n1,0.5,1.0\n2,1.5," + "1" * 140000 + "\n",
+        )
+        with pytest.raises(ParseError) as info:
+            parse_forecasts_csv(path)
+        assert info.value.row == 3
+
     def test_missing_realized_column(self, tmp_path):
         path = write(tmp_path / "f.csv", "period,var_forecast\n1,1.0\n")
         with pytest.raises(ParseError):
@@ -268,6 +277,14 @@ class TestCliContract:
         assert main(
             ["measure", "--input", uniform_panel, "--kind", "es", "--level", "1.5"]
         ) == 2
+
+    def test_oversized_cell_exits_two(self, tmp_path, capsys):
+        # csv refuses cells over its field size limit (131072 characters)
+        path = write(tmp_path / "p.csv", "a\n1\n" + "1" * 140000 + "\n")
+        assert main(["measure", "--input", path, "--kind", "mean"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ParseError"
+        assert "(row 3)" in error["message"]
 
     def test_missing_input_exits_two(self, tmp_path):
         assert main(

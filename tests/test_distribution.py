@@ -51,6 +51,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DiscreteDistribution([1.0, 2.0], [0.5, 0.6])
 
+    def test_constructor_rejects_bad_equal_weight_sum(self):
+        with pytest.raises(ValueError):
+            DiscreteDistribution([1.0, 2.0], [0.6, 0.6])
+
     def test_constructor_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
             DiscreteDistribution([1.0, 2.0], [1.0, 0.0])
@@ -142,6 +146,15 @@ class TestShiftScale:
         s = d.shift(2.5)
         assert np.allclose(s.atoms, d.atoms + 2.5)
         assert np.array_equal(s.weights, d.weights)
+
+    def test_shift_and_scale_keep_cumulative_weights(self):
+        # 10^5 rows with many duplicates: merged weights are unequal, so a
+        # recomputed running sum would drift from the source's counts
+        rng = np.random.default_rng(3)
+        d = DiscreteDistribution.from_sample(np.round(rng.normal(size=10**5), 2))
+        assert d.atoms.size < 10**4
+        assert np.array_equal(d.shift(0.3).cum_weights, d.cum_weights)
+        assert np.array_equal(d.scale(2.5).cum_weights, d.cum_weights)
 
     def test_scale_zero_collapses(self):
         d = uniform_1_to_100()

@@ -7,7 +7,6 @@ import pytest
 from tailrisk import (
     ComonotonePair,
     DiscreteDistribution,
-    ExpectileSolverConfig,
     Level,
     MeasureKind,
     comonotone_sum,
@@ -21,8 +20,6 @@ from tailrisk import (
     variance,
     wasserstein1,
 )
-from tailrisk.measures import _expected_shortfall_conditional
-
 import oracles
 
 
@@ -72,10 +69,6 @@ class TestExpectedShortfall:
             got = expected_shortfall(d, a)
             want = oracles.es_tail_form(d.atoms, d.weights, a)
             assert got == pytest.approx(want, abs=1e-10)
-
-    def test_internal_conditional_form(self):
-        d = uniform_1_to_100()
-        assert _expected_shortfall_conditional(d, 0.95) == pytest.approx(98.0, abs=1e-12)
 
     def test_es_dominates_var(self):
         rng = np.random.default_rng(37)
@@ -130,12 +123,6 @@ class TestExpectile:
             d = random_law(rng)
             values = [expectile(d, t) for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
             assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_solver_config_validation(self):
-        with pytest.raises(ValueError):
-            ExpectileSolverConfig(abs_tolerance=0.0)
-        with pytest.raises(ValueError):
-            ExpectileSolverConfig(max_iterations=0)
 
     def test_rejects_quantile_level(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,100 @@
+"""Property tests over random laws and panels, with equal and unequal weights:
+VaR and ES against the scan and tail-form oracles, and full ES allocation."""
+
+import math
+from collections import Counter
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tailrisk import DiscreteDistribution, LossPanel, es_contributions, expected_shortfall, value_at_risk
+
+import oracles
+
+# derandomized so that every run checks the same examples
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+# small integers make duplicate atoms common
+values = st.one_of(
+    st.integers(-20, 20).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+raw_weights = st.floats(0.01, 10.0)
+
+
+def levels(boundaries):
+    """Levels in (0, 1), including the given cumulative-weight boundaries."""
+    inner = [b for b in boundaries if 0.0 < b < 1.0]
+    free = st.floats(1e-3, 0.999)
+    return st.one_of(free, st.sampled_from(inner)) if inner else free
+
+
+def oracle_law(sample, law, equal):
+    """Oracle input (atoms, weights, total): integer counts of the sample for
+    equal weights, the law's merged float weights otherwise."""
+    if equal:
+        counts = sorted(Counter(sample).items())
+        return [a for a, _ in counts], [c for _, c in counts], len(sample)
+    return law.atoms.tolist(), law.weights.tolist(), 1
+
+
+@st.composite
+def laws(draw):
+    """(law, oracle atoms, oracle weights, oracle total, level)."""
+    sample = draw(st.lists(values, min_size=1, max_size=60))
+    equal = draw(st.booleans())
+    if equal:
+        law = DiscreteDistribution.from_sample(sample)
+    else:
+        raw = draw(st.lists(raw_weights, min_size=len(sample), max_size=len(sample)))
+        law = DiscreteDistribution(sample, np.asarray(raw) / math.fsum(raw))
+    alpha = draw(levels(law.cum_weights.tolist()))
+    return (law, *oracle_law(sample, law, equal), alpha)
+
+
+@st.composite
+def panels(draw):
+    """(panel, oracle atoms, oracle weights, oracle total of the portfolio
+    law, level)."""
+    t = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 4))
+    rows = draw(st.lists(values, min_size=t * m, max_size=t * m))
+    equal = draw(st.booleans())
+    weights = None
+    if not equal:
+        raw = draw(st.lists(raw_weights, min_size=t, max_size=t))
+        weights = np.asarray(raw) / math.fsum(raw)
+    panel = LossPanel.from_rows(np.reshape(rows, (t, m)), weights=weights)
+    law = panel.portfolio_law()
+    alpha = draw(levels(law.cum_weights.tolist()))
+    return (panel, *oracle_law(panel.portfolio_losses().tolist(), law, equal), alpha)
+
+
+def _es_bound(atoms, alpha):
+    return 1e-12 * max(1.0, max(abs(a) for a in atoms)) / (1.0 - alpha)
+
+
+@PROPERTY
+@given(laws())
+def test_var_equals_scan(case):
+    law, atoms, weights, total, alpha = case
+    assert value_at_risk(law, alpha) == oracles.quantile_by_scan(atoms, weights, alpha, total)
+
+
+@PROPERTY
+@given(laws())
+def test_es_equals_tail_form(case):
+    law, atoms, weights, total, alpha = case
+    want = oracles.es_tail_form(atoms, weights, alpha, total)
+    assert abs(expected_shortfall(law, alpha) - want) <= _es_bound(atoms, alpha)
+
+
+@PROPERTY
+@given(panels())
+def test_es_contributions_sum_to_total(case):
+    panel, atoms, weights, total, alpha = case
+    result = es_contributions(panel, alpha)
+    assert abs(result.total - math.fsum(result.contributions)) <= 1e-10 * max(1.0, abs(result.total))
+    want = oracles.es_tail_form(atoms, weights, alpha, total)
+    assert abs(result.total - want) <= _es_bound(atoms, alpha)
