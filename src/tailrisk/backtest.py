@@ -75,8 +75,6 @@ __all__ = [
 
 SIGNIFICANCE_LEVELS = (0.01, 0.05, 0.10)
 
-_EXACT_BINOMIAL_LIMIT = 1_000_000
-
 
 @dataclass(frozen=True, eq=False)
 class ViolationSeries:
@@ -149,27 +147,13 @@ def _make_result(method: str, statistic: float, p_value: float, notes=()) -> Tes
 
 
 def unconditional_coverage_test(v: ViolationSeries) -> TestResult:
-    """Exact two-sided binomial test of count ~ Binomial(T, 1 - alpha).
-
-    Beyond one million observations the binomial is replaced by its normal
-    approximation (flagged in the notes).
-    """
+    """Exact two-sided binomial test of count ~ Binomial(T, 1 - alpha)."""
     t = len(v)
     p0 = 1.0 - v.alpha.value
     k = v.count
-    notes = []
-    if t <= _EXACT_BINOMIAL_LIMIT:
-        lower = stats.binom.cdf(k, t, p0)
-        upper = stats.binom.sf(k - 1, t, p0)
-        p_value = min(1.0, 2.0 * min(lower, upper))
-        method = "coverage-binomial-exact"
-    else:
-        sd = math.sqrt(t * p0 * (1.0 - p0))
-        z = (k - t * p0) / sd
-        p_value = 2.0 * stats.norm.sf(abs(z))
-        method = "coverage-binomial-normal-approx"
-        notes.append("normal approximation (T > 1e6)")
-    return _make_result(method, float(k), p_value, notes)
+    lower = stats.binom.cdf(k, t, p0)
+    upper = stats.binom.sf(k - 1, t, p0)
+    return _make_result("coverage-binomial-exact", float(k), min(1.0, 2.0 * min(lower, upper)))
 
 
 def independence_test(v: ViolationSeries) -> TestResult:

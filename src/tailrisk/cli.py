@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,26 +47,34 @@ from .errors import (
     TailriskError,
 )
 from .measures import MeasureFamily, MeasureKind, evaluate
-from .scoring import ForecastRecord, ScoringFunction, elicit, mean_score, two_step_es_forecast
+from .scoring import (
+    ForecastRecord,
+    ScoreKind,
+    ScoringFunction,
+    elicit,
+    mean_score,
+    two_step_es_forecast,
+)
 
 SEED_ENV_VAR = "TAILRISK_SEED"
 
-_MEASURE_CHOICES = ("mean", "variance", "var", "es", "expectile")
-_LEVELED = ("var", "es", "expectile")
-_SCORE_CHOICES = (
-    "squared-error",
-    "absolute-error",
-    "weighted-absolute-error",
-    "weighted-squared-error",
-    "tail-mean",
-)
+# each choice names a MeasureKind / ScoringFunction classmethod (with '-' as
+# '_'); the tables give the RunConfig field passed to those that take one
+_MEASURE_CHOICES = tuple(family.value for family in MeasureFamily)
+_SCORE_CHOICES = tuple(kind.value for kind in ScoreKind)
+_MEASURE_ARGS = {"var": "level", "es": "level", "expectile": "level"}
+_SCORE_ARGS = {
+    "weighted-absolute-error": "level",
+    "weighted-squared-error": "level",
+    "tail-mean": "threshold",
+}
 
 
 @dataclass
 class RunConfig:
     command: str
-    input_path: str
-    output_path: str = "-"
+    input: str
+    output: str = "-"
     kind: str | None = None
     level: float | None = None
     significance: float = 0.05
@@ -90,43 +98,22 @@ class RunConfig:
             raise ValueError(f"--max-lag must be at least 1, got {self.max_lag}")
         if self.weight_denominator < 2:
             raise ValueError("--weight-denominator must be at least 2")
-        if self.kind in _LEVELED and self.level is None:
+        if self.kind in _MEASURE_ARGS and self.level is None:
             raise ValueError(f"--kind {self.kind} requires --level")
+        if self.command == "elicit" and not self.two_step:
+            if self.score is None:
+                raise ValueError("--score is required (or use --two-step)")
+            field = _SCORE_ARGS.get(self.score)
+            if field is not None and getattr(self, field) is None:
+                raise ValueError(f"--score {self.score} requires --{field}")
 
 
-def _measure_kind(kind: str, level: float | None) -> MeasureKind:
-    if kind == "mean":
-        return MeasureKind.mean()
-    if kind == "variance":
-        return MeasureKind.variance()
-    if kind == "var":
-        return MeasureKind.var(level)
-    if kind == "es":
-        return MeasureKind.es(level)
-    if kind == "expectile":
-        return MeasureKind.expectile(level)
-    raise ValueError(f"unknown measure kind {kind!r}")
-
-
-def _scoring_function(config: RunConfig) -> ScoringFunction:
-    score = config.score
-    if score == "squared-error":
-        return ScoringFunction.squared_error()
-    if score == "absolute-error":
-        return ScoringFunction.absolute_error()
-    if score == "weighted-absolute-error":
-        if config.level is None:
-            raise ValueError("--score weighted-absolute-error requires --level")
-        return ScoringFunction.weighted_absolute_error(config.level)
-    if score == "weighted-squared-error":
-        if config.level is None:
-            raise ValueError("--score weighted-squared-error requires --level")
-        return ScoringFunction.weighted_squared_error(config.level)
-    if score == "tail-mean":
-        if config.threshold is None:
-            raise ValueError("--score tail-mean requires --threshold")
-        return ScoringFunction.tail_mean(config.threshold)
-    raise ValueError("--score is required (or use --two-step)")
+def _construct(cls, name: str, args: dict[str, str], config: RunConfig):
+    """Call the classmethod of ``cls`` that ``name`` names, passing the
+    config field it takes, if any."""
+    make = getattr(cls, name.replace("-", "_"))
+    field = args.get(name)
+    return make() if field is None else make(getattr(config, field))
 
 
 @contextmanager
@@ -308,25 +295,6 @@ def _test_result_entry(result: TestResult) -> dict:
     }
 
 
-def _config_echo(config: RunConfig) -> dict:
-    return {
-        "command": config.command,
-        "input": config.input_path,
-        "output": config.output_path,
-        "kind": config.kind,
-        "level": config.level,
-        "significance": config.significance,
-        "bins": config.bins,
-        "max_lag": config.max_lag,
-        "seed": config.seed,
-        "score": config.score,
-        "threshold": config.threshold,
-        "two_step": config.two_step,
-        "search": config.search,
-        "weight_denominator": config.weight_denominator,
-    }
-
-
 def _require(value, flag: str):
     if value is None:
         raise ValueError(f"{flag} is required for this command")
@@ -342,8 +310,8 @@ def _forecast_column(records: list[ForecastRecord], field_name: str) -> np.ndarr
 
 
 def _run_measure(config: RunConfig, warnings: list[str]) -> dict:
-    panel = parse_panel_csv(config.input_path)
-    kind = _measure_kind(_require(config.kind, "--kind"), config.level)
+    panel = parse_panel_csv(config.input)
+    kind = _construct(MeasureKind, _require(config.kind, "--kind"), _MEASURE_ARGS, config)
     positions = {
         name: evaluate(panel.column_law(i), kind)
         for i, name in enumerate(panel.positions)
@@ -356,7 +324,7 @@ def _run_measure(config: RunConfig, warnings: list[str]) -> dict:
 
 
 def _run_allocate(config: RunConfig, warnings: list[str]) -> dict:
-    panel = parse_panel_csv(config.input_path)
+    panel = parse_panel_csv(config.input)
     kind = _require(config.kind, "--kind")
     level = _require(config.level, "--level")
     if kind == "es":
@@ -380,8 +348,8 @@ def _run_allocate(config: RunConfig, warnings: list[str]) -> dict:
 
 
 def _run_diversify(config: RunConfig, warnings: list[str]) -> dict:
-    panel = parse_panel_csv(config.input_path)
-    kind = _measure_kind(_require(config.kind, "--kind"), config.level)
+    panel = parse_panel_csv(config.input)
+    kind = _construct(MeasureKind, _require(config.kind, "--kind"), _MEASURE_ARGS, config)
     results: dict = {"measure": kind.label}
     try:
         results["diversification_index"] = diversification_index(panel, kind)
@@ -409,7 +377,7 @@ def _run_diversify(config: RunConfig, warnings: list[str]) -> dict:
 
 
 def _run_backtest_var(config: RunConfig, warnings: list[str]) -> dict:
-    records = parse_forecasts_csv(config.input_path)
+    records = parse_forecasts_csv(config.input)
     level = _require(config.level, "--level")
     realized = _forecast_column(records, "realized")
     forecasts = _forecast_column(records, "var_forecast")
@@ -434,7 +402,7 @@ def _run_backtest_var(config: RunConfig, warnings: list[str]) -> dict:
 
 
 def _run_backtest_es(config: RunConfig, warnings: list[str]) -> dict:
-    records = parse_forecasts_csv(config.input_path)
+    records = parse_forecasts_csv(config.input)
     level = _require(config.level, "--level")
     realized = _forecast_column(records, "realized")
     es_series = _forecast_column(records, "es_forecast")
@@ -461,7 +429,7 @@ def _run_backtest_es(config: RunConfig, warnings: list[str]) -> dict:
 
 
 def _run_backtest_pit(config: RunConfig, warnings: list[str]) -> dict:
-    records = parse_forecasts_csv(config.input_path)
+    records = parse_forecasts_csv(config.input)
     realized = _forecast_column(records, "realized")
     scenario_sets = []
     for record in records:
@@ -482,7 +450,7 @@ def _run_backtest_pit(config: RunConfig, warnings: list[str]) -> dict:
 
 
 def _run_elicit(config: RunConfig, warnings: list[str]) -> dict:
-    panel = parse_panel_csv(config.input_path)
+    panel = parse_panel_csv(config.input)
     if panel.n_positions != 1:
         raise ParseError("elicit expects a single-column sample file")
     sample = panel.rows[:, 0]
@@ -490,7 +458,7 @@ def _run_elicit(config: RunConfig, warnings: list[str]) -> dict:
         level = _require(config.level, "--level")
         q_hat, es_hat = two_step_es_forecast(sample, level)
         return {"quantile": q_hat, "es": es_hat, "alpha": level}
-    s = _scoring_function(config)
+    s = _construct(ScoringFunction, config.score, _SCORE_ARGS, config)
     estimate = elicit(s, sample)
     return {
         "score": s.kind.value,
@@ -562,7 +530,7 @@ def run(config: RunConfig) -> dict:
         {
             "version": __version__,
             "command": config.command,
-            "config": _config_echo(config),
+            "config": asdict(config),
             "results": results,
             "warnings": warnings,
         }
@@ -592,8 +560,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--input", required=True, help="input CSV path")
-        p.add_argument("--output", default="-", help="report path (default: stdout)")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (default: 0)")
+        p.add_argument("--output", help="report path (default: stdout)")
+        p.add_argument("--seed", type=int, help="RNG seed (default: 0)")
 
     p = sub.add_parser("measure", help="evaluate a risk measure on a loss panel")
     common(p)
@@ -613,17 +581,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("backtest-var", help="violation-based VaR backtest")
     common(p)
     p.add_argument("--level", type=float, required=True)
-    p.add_argument("--significance", type=float, default=0.05)
+    p.add_argument("--significance", type=float)
 
     p = sub.add_parser("backtest-es", help="multi-quantile expected-shortfall backtest")
     common(p)
     p.add_argument("--level", type=float, required=True)
-    p.add_argument("--significance", type=float, default=0.05)
+    p.add_argument("--significance", type=float)
 
     p = sub.add_parser("backtest-pit", help="PIT distribution-forecast backtest")
     common(p)
-    p.add_argument("--bins", type=int, default=10)
-    p.add_argument("--max-lag", type=int, default=5)
+    p.add_argument("--bins", type=int)
+    p.add_argument("--max-lag", type=int)
 
     p = sub.add_parser("elicit", help="score-minimizing estimate from a sample")
     common(p)
@@ -638,7 +606,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--search", required=True, choices=("expectile-comonotone", "var-superadditive")
     )
     p.add_argument("--level", type=float, required=True)
-    p.add_argument("--weight-denominator", type=int, default=8)
+    p.add_argument("--weight-denominator", type=int)
 
     return parser
 
@@ -654,23 +622,12 @@ def _default_seed() -> int:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed if getattr(args, "seed", None) is not None else _default_seed()
-    return RunConfig(
-        command=args.command,
-        input_path=args.input,
-        output_path=args.output,
-        kind=getattr(args, "kind", None),
-        level=getattr(args, "level", None),
-        significance=getattr(args, "significance", 0.05),
-        bins=getattr(args, "bins", 10),
-        max_lag=getattr(args, "max_lag", 5),
-        seed=seed,
-        score=getattr(args, "score", None),
-        threshold=getattr(args, "threshold", None),
-        two_step=getattr(args, "two_step", False),
-        search=getattr(args, "search", None),
-        weight_denominator=getattr(args, "weight_denominator", 8),
-    )
+    """Flags left unset take the :class:`RunConfig` defaults; the seed
+    defaults to ``TAILRISK_SEED``, then 0."""
+    values = {name: value for name, value in vars(args).items() if value is not None}
+    if "seed" not in values:
+        values["seed"] = _default_seed()
+    return RunConfig(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -683,7 +640,7 @@ def main(argv: list[str] | None = None) -> int:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
         return 2
-    _write_report(report, config.output_path)
+    _write_report(report, config.output)
     return 0
 
 

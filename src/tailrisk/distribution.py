@@ -118,7 +118,12 @@ class DiscreteDistribution:
         else:
             merged_atoms, inverse = np.unique(atoms, return_inverse=True)
             merged_weights = np.bincount(inverse, weights=weights)
-            cum = np.cumsum(merged_weights)
+            # general weights: split w * 2^53 into whole parts, whose running
+            # sum is exact in float while it stays within 2^53, and remainders
+            # of at most 1/2, whose running sum drifts far below one unit
+            scaled = merged_weights * 2.0**53
+            whole = np.rint(scaled)
+            cum = (np.cumsum(whole) + np.cumsum(scaled - whole)) / 2.0**53
             cum[-1] = 1.0
             total = math.fsum(merged_weights.tolist())
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:

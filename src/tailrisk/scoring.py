@@ -21,13 +21,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import Level, LevelKind, level_value
+from .distribution import DiscreteDistribution, Level, LevelKind, level_value
 from .errors import (
     EmptySampleError,
     EmptyScenarioSetError,
     EmptyTailError,
     ShapeMismatchError,
 )
+from .measures import expectile, mean, value_at_risk
 
 __all__ = [
     "ScoreKind",
@@ -44,9 +45,9 @@ __all__ = [
 
 class ScoreKind(Enum):
     SQUARED_ERROR = "squared-error"
-    WEIGHTED_SQUARED_ERROR = "weighted-squared-error"
     ABSOLUTE_ERROR = "absolute-error"
     WEIGHTED_ABSOLUTE_ERROR = "weighted-absolute-error"
+    WEIGHTED_SQUARED_ERROR = "weighted-squared-error"
     TAIL_MEAN = "tail-mean"
 
 
@@ -143,58 +144,30 @@ def mean_score(s: ScoringFunction, forecast: float, sample: Sequence[float]) -> 
     return math.fsum(np.asarray(score(s, forecast, values)).tolist()) / values.size
 
 
-def _candidate_forecasts(s: ScoringFunction, ys: np.ndarray) -> np.ndarray:
-    # Sample points, midpoints of consecutive points, and -- for the smooth
-    # piecewise-quadratic families -- the stationary point of each quadratic
-    # piece, which is where their unique minimizer actually lives.
-    n = ys.size
-    parts = [ys]
-    if n > 1:
-        parts.append(0.5 * (ys[:-1] + ys[1:]))
-    if s.kind is ScoreKind.SQUARED_ERROR:
-        parts.append(np.array([float(np.mean(ys))]))
-    elif s.kind is ScoreKind.WEIGHTED_SQUARED_ERROR:
-        tau = s.level
-        prefix = np.concatenate(([0.0], np.cumsum(ys)))  # prefix[k] = sum of k smallest
-        total = prefix[-1]
-        vertices = []
-        for k in range(n + 1):
-            den = (1.0 - tau) * k + tau * (n - k)
-            x_star = ((1.0 - tau) * prefix[k] + tau * (total - prefix[k])) / den
-            lo = -math.inf if k == 0 else ys[k - 1]
-            hi = math.inf if k == n else ys[k]
-            if lo <= x_star <= hi:
-                vertices.append(x_star)
-        parts.append(np.asarray(vertices))
-    elif s.kind is ScoreKind.TAIL_MEAN:
-        c = s.threshold
-        parts.append(np.array([c, max(c, float(np.mean(ys)))]))
-    candidates = np.unique(np.concatenate(parts))
-    if s.kind is ScoreKind.TAIL_MEAN:
-        candidates = candidates[candidates >= s.threshold]
-    return candidates
-
-
 def elicit(s: ScoringFunction, sample: Sequence[float]) -> float:
     """Minimize the empirical mean score over forecasts.
 
-    The minimizer set of each implemented family is an interval whose
-    endpoints lie in the candidate set scanned here; candidates are evaluated
-    in ascending order and ties keep the smaller forecast, matching the
-    inf-quantile convention.
+    Each score is strictly consistent for a functional, so its empirical
+    minimizer is that functional of the sample's empirical law, evaluated here
+    in closed form: the mean for the squared error, the lower median for the
+    absolute error, the inf-quantile for the pinball score and the expectile
+    for the weighted squared error. The tail-mean score is a Bregman score
+    that vanishes below its threshold; over forecasts at or above the
+    threshold it is minimized at ``max(threshold, mean)``. Non-finite sample
+    values are rejected.
     """
-    values = np.asarray(sample, dtype=float).ravel()
-    if values.size == 0:
-        raise EmptySampleError("cannot elicit from an empty sample")
-    ys = np.sort(values)
-    best_x = math.nan
-    best = math.inf
-    for x in _candidate_forecasts(s, ys):
-        total = math.fsum(np.asarray(score(s, float(x), ys)).tolist())
-        if total < best:
-            best = total
-            best_x = float(x)
-    return best_x
+    law = DiscreteDistribution.from_sample(sample)
+    if s.kind is ScoreKind.SQUARED_ERROR:
+        return mean(law)
+    if s.kind is ScoreKind.ABSOLUTE_ERROR:
+        return value_at_risk(law, 0.5)
+    if s.kind is ScoreKind.WEIGHTED_ABSOLUTE_ERROR:
+        return value_at_risk(law, s.level)
+    if s.kind is ScoreKind.WEIGHTED_SQUARED_ERROR:
+        return expectile(law, s.level)
+    if s.kind is ScoreKind.TAIL_MEAN:
+        return max(s.threshold, mean(law))
+    raise ValueError(f"unknown score kind {s.kind!r}")  # pragma: no cover
 
 
 def two_step_es_forecast(

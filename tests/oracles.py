@@ -117,6 +117,42 @@ def pinball_quantile(sample, alpha):
     return ys[-1]
 
 
+def elicit_by_scan(s, sample):
+    """Empirical mean-score minimizer of a ``tailrisk`` scoring function by
+    scanning candidate forecasts: the sample points, the midpoints of
+    consecutive points, the sample mean (squared error), the stationary point
+    of each quadratic piece (weighted squared error) and the threshold (tail
+    mean, whose candidates stop below it). Each candidate is scored with
+    ``tailrisk.score`` summed by ``math.fsum``, in ascending order; a tie
+    keeps the smaller forecast. O(n^2)."""
+    from tailrisk import ScoreKind, score
+
+    ys = np.sort(np.asarray(sample, dtype=float))
+    n = ys.size
+    parts = [ys, 0.5 * (ys[:-1] + ys[1:])]
+    if s.kind is ScoreKind.SQUARED_ERROR:
+        parts.append([math.fsum(ys.tolist()) / n])
+    elif s.kind is ScoreKind.WEIGHTED_SQUARED_ERROR:
+        tau = s.level
+        total = math.fsum(ys.tolist())
+        for k in range(n + 1):
+            below = math.fsum(ys[:k].tolist())
+            x = ((1.0 - tau) * below + tau * (total - below)) / ((1.0 - tau) * k + tau * (n - k))
+            if (k == 0 or ys[k - 1] <= x) and (k == n or x <= ys[k]):
+                parts.append([x])
+    elif s.kind is ScoreKind.TAIL_MEAN:
+        parts.append([s.threshold, max(s.threshold, math.fsum(ys.tolist()) / n)])
+    candidates = np.unique(np.concatenate([np.asarray(p, dtype=float) for p in parts]))
+    if s.kind is ScoreKind.TAIL_MEAN:
+        candidates = candidates[candidates >= s.threshold]
+    best_x, best = math.nan, math.inf
+    for x in candidates:
+        total = math.fsum(np.asarray(score(s, float(x), ys)).tolist())
+        if total < best:
+            best_x, best = float(x), total
+    return best_x
+
+
 def population_minimizer_on_grid(score_fn, atoms, weights, grid):
     """Argmin over a grid of the population mean score E[s(x, L)]."""
     best_x = None

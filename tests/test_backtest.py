@@ -99,14 +99,15 @@ class TestUnconditionalCoverage:
         for level, flag in res.reject_at.items():
             assert flag == (res.p_value < level)
 
-    def test_normal_approximation_beyond_a_million(self):
+    def test_exact_binomial_beyond_a_million(self):
         t = 1_200_000
         ind = np.zeros(t, dtype=np.int8)
         k = int(t * 0.01)
         ind[:k] = 1
         v = ViolationSeries(ind, Level.quantile(0.99), k)
         res = unconditional_coverage_test(v)
-        assert res.method == "coverage-binomial-normal-approx"
+        assert res.method == "coverage-binomial-exact"
+        assert res.notes == ()
         assert res.p_value > 0.5
 
 

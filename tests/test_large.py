@@ -1,6 +1,7 @@
-"""Regression tests at the sizes the package is fed: equal-weight panels of
-10^5 and 10^6 rows. Measures and allocations must stay exact here, not only on
-test-sized inputs, and the CLI must keep its exit contract."""
+"""Regression tests at the sizes the package is fed: panels of 10^5 and 10^6
+rows, with equal and with unequal row weights. Measures and allocations must
+stay exact here, not only on test-sized inputs, and the CLI must keep its exit
+contract."""
 
 import json
 import os
@@ -69,6 +70,16 @@ def test_allocations_are_full(normal_panel):
     results = [es_contributions(normal_panel, alpha) for alpha in LEVELS]
     results.append(expectile_contributions(normal_panel, 0.99))
     for result in results:
+        assert abs(result.residual) <= 1e-10 * max(1.0, abs(result.total))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_unequal_weight_allocations_are_full(seed):
+    t = 10**6
+    weights = np.where(np.arange(t) % 2 == 0, 1.5, 0.5) / t
+    panel = LossPanel.from_rows(np.random.default_rng(seed).standard_normal((t, 5)), weights=weights)
+    for alpha in LEVELS:
+        result = es_contributions(panel, alpha)
         assert abs(result.residual) <= 1e-10 * max(1.0, abs(result.total))
 
 

@@ -119,9 +119,9 @@ class TestElicit:
         for _ in range(50):
             sample = rng.normal(1, 4, int(rng.integers(2, 50)))
             tau = float(rng.uniform(0.1, 0.9))
-            want = expectile(DiscreteDistribution.from_sample(sample), tau)
             got = elicit(ScoringFunction.weighted_squared_error(tau), sample)
-            assert got == pytest.approx(want, abs=1e-9)
+            bound = 1e-12 * max(1.0, float(np.max(np.abs(sample))))
+            assert abs(oracles.expectile_residual(sample, tau, got)) <= bound
 
     def test_tail_mean_recovers_clipped_mean(self):
         rng = np.random.default_rng(107)
@@ -130,6 +130,42 @@ class TestElicit:
             c = float(rng.normal(-1, 1))
             got = elicit(ScoringFunction.tail_mean(c), sample)
             assert got == pytest.approx(max(c, float(np.mean(sample))), abs=1e-7)
+
+    def test_mean_score_matches_the_scan_minimum(self):
+        rng = np.random.default_rng(127)
+        for _ in range(40):
+            sample = np.round(rng.standard_t(4, int(rng.integers(1, 60))), 3)
+            level = float(rng.uniform(0.05, 0.95))
+            functions = [
+                ScoringFunction.squared_error(),
+                ScoringFunction.absolute_error(),
+                ScoringFunction.weighted_absolute_error(level),
+                ScoringFunction.weighted_squared_error(level),
+                ScoringFunction.tail_mean(float(rng.normal(0, 1))),
+            ]
+            for s in functions:
+                want = mean_score(s, oracles.elicit_by_scan(s, sample), sample)
+                got = mean_score(s, elicit(s, sample), sample)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), s
+
+    @pytest.mark.parametrize(
+        "s, alpha",
+        [(ScoringFunction.weighted_absolute_error(0.99), 0.99), (ScoringFunction.absolute_error(), 0.5)],
+        ids=["pinball-0.99", "absolute"],
+    )
+    def test_flat_minimum_returns_the_order_statistic(self, s, alpha):
+        # alpha * n is whole, so the mean score is flat between two order
+        # statistics; the inf-quantile convention takes the lower one
+        mismatches = []
+        for seed in range(300):
+            sample = np.round(np.random.default_rng(seed).standard_t(4, 500), 6)
+            if elicit(s, sample) != oracles.order_statistic(sample, alpha):
+                mismatches.append(seed)
+        assert mismatches == []
+
+    def test_non_finite_sample_rejected(self):
+        with pytest.raises(ValueError):
+            elicit(ScoringFunction.squared_error(), [1.0, float("nan")])
 
 
 class TestPopulationConsistency:
