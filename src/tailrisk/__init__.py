@@ -69,7 +69,6 @@ from .measures import (
     variance,
 )
 from .scoring import (
-    ForecastRecord,
     ScoreKind,
     ScoringFunction,
     Winner,
@@ -103,7 +102,6 @@ __all__ = [
     # scoring
     "ScoreKind",
     "ScoringFunction",
-    "ForecastRecord",
     "Winner",
     "score",
     "mean_score",

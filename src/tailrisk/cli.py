@@ -2,7 +2,8 @@
 
 Commands dispatch to the library modules; statistical verdicts are data in
 the report, never process failures. Exit code 0 means the run completed
-(whatever the verdicts say), exit code 2 means the inputs were unusable.
+(whatever the verdicts say), exit code 2 means the inputs were unusable, the
+report could not be written, or a result is not a finite number.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,7 +50,6 @@ from .errors import (
 )
 from .measures import MeasureFamily, MeasureKind, evaluate
 from .scoring import (
-    ForecastRecord,
     ScoreKind,
     ScoringFunction,
     elicit,
@@ -100,12 +101,16 @@ class RunConfig:
             raise ValueError("--weight-denominator must be at least 2")
         if self.kind in _MEASURE_ARGS and self.level is None:
             raise ValueError(f"--kind {self.kind} requires --level")
-        if self.command == "elicit" and not self.two_step:
-            if self.score is None:
+        for flag in _COMMANDS[self.command].required:
+            if getattr(self, flag) is None:
+                raise ValueError(f"--{flag} is required for this command")
+        if self.command == "elicit":
+            if not self.two_step and self.score is None:
                 raise ValueError("--score is required (or use --two-step)")
-            field = _SCORE_ARGS.get(self.score)
+            field = "level" if self.two_step else _SCORE_ARGS.get(self.score)
             if field is not None and getattr(self, field) is None:
-                raise ValueError(f"--score {self.score} requires --{field}")
+                flag = "--two-step" if self.two_step else f"--score {self.score}"
+                raise ValueError(f"{flag} requires --{field}")
 
 
 def _construct(cls, name: str, args: dict[str, str], config: RunConfig):
@@ -117,18 +122,33 @@ def _construct(cls, name: str, args: dict[str, str], config: RunConfig):
 
 
 @contextmanager
-def _open_csv(path: Path, reader_type):
-    """Open ``path`` with a csv reader of ``reader_type``; a malformed record,
-    such as a cell longer than the csv field size limit, becomes a
-    :class:`ParseError` at the line where the reader stopped."""
+def _open_csv(path: Path):
+    """Open ``path`` with a csv reader; a malformed record, such as a cell
+    longer than the csv field size limit, becomes a :class:`ParseError` at
+    the line where the reader stopped."""
     with path.open(newline="") as handle:
-        reader = reader_type(handle)
+        reader = csv.reader(handle)
         try:
             yield reader
         except csv.Error as exc:
-            # a DictReader updates its own line_num only after a whole record
-            line = getattr(reader, "reader", reader).line_num
-            raise ParseError(f"malformed CSV: {exc}", row=line) from None
+            raise ParseError(f"malformed CSV: {exc}", row=reader.line_num) from None
+
+
+def _finite_floats(cells: Sequence[str], locate: Callable[[int], tuple]) -> list[float]:
+    """``float()`` of every cell, each required to be finite. The first cell
+    that is not raises a :class:`ParseError`; ``locate(i)`` gives cell ``i``'s
+    row, column and any finer location (a scenario file's line) for it."""
+    values = []
+    for i, cell in enumerate(cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            row, column, where = locate(i)
+            raise ParseError(f"cell {cell!r}{where} is not a finite number", row=row, column=column)
+        values.append(value)
+    return values
 
 
 def parse_panel_csv(path: str | Path) -> LossPanel:
@@ -139,7 +159,7 @@ def parse_panel_csv(path: str | Path) -> LossPanel:
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"no such input file: {path}")
-    with _open_csv(path, csv.reader) as reader:
+    with _open_csv(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -150,94 +170,97 @@ def parse_panel_csv(path: str | Path) -> LossPanel:
         rows = []
         for row_idx, row in enumerate(reader, start=2):
             if len(row) != len(names):
-                raise ParseError(
-                    f"expected {len(names)} cells, found {len(row)}", row=row_idx
-                )
-            values = []
-            for name, cell in zip(names, row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"non-numeric cell {cell!r}", row=row_idx, column=name
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError("loss values must be finite", row=row_idx, column=name)
-                values.append(value)
-            rows.append(values)
+                raise ParseError(f"expected {len(names)} cells, found {len(row)}", row=row_idx)
+            rows.append(_finite_floats(row, lambda i: (row_idx, names[i], "")))
     if not rows:
         raise ParseError("panel has no data rows", row=2)
     return LossPanel.from_rows(rows, positions=names)
 
 
-def _optional_float(row: dict, column: str, row_idx: int) -> float | None:
-    raw = (row.get(column) or "").strip()
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"non-numeric cell {raw!r}", row=row_idx, column=column) from None
-
-
-def _read_scenario_file(path: Path, row_idx: int) -> tuple[float, ...]:
-    values = []
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            values.append(float(line))
-        except ValueError:
-            raise ParseError(
-                f"non-numeric scenario value {line!r} in {path.name} line {line_no}",
-                row=row_idx,
-                column="scenario_file",
-            ) from None
-    if not values:
+def _read_scenario_file(path: Path, row_idx: int) -> list[float]:
+    lines = path.read_text().splitlines()
+    cells = [cell for cell in map(str.strip, lines) if cell]
+    if not cells:
         raise ParseError(f"scenario file {path} is empty", row=row_idx, column="scenario_file")
-    return tuple(values)
+
+    def locate(i: int) -> tuple:
+        line_no = [n for n, line in enumerate(lines, start=1) if line.strip()][i]
+        return row_idx, "scenario_file", f" in {path.name} line {line_no}"
+
+    return _finite_floats(cells, locate)
 
 
-def parse_forecasts_csv(path: str | Path) -> list[ForecastRecord]:
-    """Read aligned forecast records.
+@dataclass(frozen=True)
+class ForecastColumns:
+    """A forecast file as the columns the backtests take, one entry per period.
+    A blank cell is NaN in a float column and ``None`` in ``scenario_sets``; a
+    column the file lacks is ``None``. ``quantiles`` holds ``q1..qK`` in full."""
+
+    periods: list[int]
+    realized: np.ndarray
+    var_forecast: np.ndarray | None
+    es_forecast: np.ndarray | None
+    quantiles: np.ndarray
+    scenario_sets: list[list[float] | None] | None
+
+    def __len__(self) -> int:
+        return len(self.periods)
+
+    def column(self, name: str) -> np.ndarray | list[list[float]]:
+        """The column ``name``, which must have a value in every period."""
+        values = getattr(self, name)
+        if values is None:
+            blank = [True]
+        else:
+            blank = [v is None for v in values] if name == "scenario_sets" else np.isnan(values)
+        if np.any(blank):
+            label = "scenario_file" if name == "scenario_sets" else name
+            raise ParseError(f"missing {label} for period {self.periods[int(np.argmax(blank))]}")
+        return values
+
+
+def parse_forecasts_csv(path: str | Path) -> ForecastColumns:
+    """Read a forecast file into the columns the backtests take.
 
     Columns: ``period`` and ``realized`` are required; ``var_forecast``,
     ``es_forecast``, ``scenario_file`` and supporting-quantile columns
-    ``q1..qK`` are optional. Scenario files hold one scenario value per line
-    and are resolved relative to the CSV's directory.
+    ``q1..qK`` are optional, and so are their cells, except that a row fills
+    every ``q`` column. Scenario files hold one scenario value per line and
+    are resolved relative to the CSV's directory.
     """
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"no such input file: {path}")
-    base_dir = path.parent
-    scenario_cache: dict[Path, tuple[float, ...]] = {}
-    with _open_csv(path, csv.DictReader) as reader:
-        columns = [c.strip() for c in reader.fieldnames or []]
-        if "realized" not in columns:
-            raise ParseError("missing required column 'realized'", row=1)
-        if "period" not in columns:
-            raise ParseError("missing required column 'period'", row=1)
+    scenario_cache: dict[Path, list[float]] = {}
+    with _open_csv(path) as reader:
+        header = [c.strip() for c in next(reader, [])]
+        for required in ("realized", "period"):
+            if required not in header:
+                raise ParseError(f"missing required column {required!r}", row=1)
         quantile_columns = sorted(
-            (c for c in columns if len(c) > 1 and c[0] == "q" and c[1:].isdigit()),
-            key=lambda c: int(c[1:]),
+            (c for c in header if c[:1] == "q" and c[1:].isdigit()), key=lambda c: int(c[1:])
         )
-        records = []
-        for row_idx, row in enumerate(reader, start=2):
-            period_raw = (row.get("period") or "").strip()
+        numbers = ["realized", "var_forecast", "es_forecast", *quantile_columns]
+        cells_of = {c: [] for c in numbers if c in header}
+        periods, scenario_sets = [], []
+        # a blank line is no record, and a short record ends in blank cells
+        for row_idx, row in enumerate(filter(None, reader), start=2):
+            cells = {c: cell.strip() for c, cell in zip(header, row + [""] * len(header))}
             try:
-                period = int(period_raw)
+                periods.append(int(cells["period"]))
             except ValueError:
                 raise ParseError(
-                    f"non-integer period {period_raw!r}", row=row_idx, column="period"
+                    f"non-integer period {cells['period']!r}", row=row_idx, column="period"
                 ) from None
-            realized = _optional_float(row, "realized", row_idx)
-            if realized is None:
+            if not cells["realized"]:
                 raise ParseError("missing realized loss", row=row_idx, column="realized")
-            scenario_set = None
-            scenario_ref = (row.get("scenario_file") or "").strip()
+            if not all(cells[c] for c in quantile_columns):
+                raise ParseError("incomplete supporting-quantile row", row=row_idx, column="q*")
+            for c, column in cells_of.items():
+                column.append(cells[c])
+            scenario_ref = cells.get("scenario_file")
             if scenario_ref:
-                scenario_path = (base_dir / scenario_ref).resolve()
+                scenario_path = (path.parent / scenario_ref).resolve()
                 if not scenario_path.is_file():
                     raise ParseError(
                         f"dangling scenario reference {scenario_ref!r}",
@@ -246,31 +269,24 @@ def parse_forecasts_csv(path: str | Path) -> list[ForecastRecord]:
                     )
                 if scenario_path not in scenario_cache:
                     scenario_cache[scenario_path] = _read_scenario_file(scenario_path, row_idx)
-                scenario_set = scenario_cache[scenario_path]
-            quantiles = None
-            if quantile_columns:
-                parsed = [_optional_float(row, c, row_idx) for c in quantile_columns]
-                if any(qv is None for qv in parsed):
-                    raise ParseError(
-                        "incomplete supporting-quantile row", row=row_idx, column="q*"
-                    )
-                quantiles = tuple(parsed)
-            try:
-                records.append(
-                    ForecastRecord(
-                        period=period,
-                        realized=realized,
-                        var_forecast=_optional_float(row, "var_forecast", row_idx),
-                        es_forecast=_optional_float(row, "es_forecast", row_idx),
-                        scenario_set=scenario_set,
-                        quantile_forecasts=quantiles,
-                    )
-                )
-            except (TailriskError, ValueError) as exc:
-                raise ParseError(str(exc), row=row_idx) from None
-    if not records:
+            scenario_sets.append(scenario_cache[scenario_path] if scenario_ref else None)
+    if not periods:
         raise ParseError("forecast file has no data rows", row=2)
-    return records
+    floats = {}
+    for c, cells in cells_of.items():
+        present = [i for i, cell in enumerate(cells) if cell]
+        floats[c] = np.full(len(periods), np.nan)
+        floats[c][present] = _finite_floats(
+            [cells[i] for i in present], lambda k: (present[k] + 2, c, "")
+        )
+    return ForecastColumns(
+        periods,
+        floats["realized"],
+        floats.get("var_forecast"),
+        floats.get("es_forecast"),
+        np.reshape([floats[c] for c in quantile_columns], (-1, len(periods))).T,
+        scenario_sets if "scenario_file" in header else None,
+    )
 
 
 def _jsonable(value):
@@ -291,27 +307,23 @@ def _test_result_entry(result: TestResult) -> dict:
         "statistic": result.statistic,
         "p_value": result.p_value,
         "reject_at": {f"{lvl:.2f}": flag for lvl, flag in result.reject_at.items()},
-        "notes": list(result.notes),
+        "notes": result.notes,
     }
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise ValueError(f"{flag} is required for this command")
-    return value
-
-
-def _forecast_column(records: list[ForecastRecord], field_name: str) -> np.ndarray:
-    values = [getattr(r, field_name) for r in records]
-    if any(v is None for v in values):
-        missing = next(r.period for r, v in zip(records, values) if v is None)
-        raise ParseError(f"missing {field_name} for period {missing}")
-    return np.asarray(values, dtype=float)
+def _or_warning(warnings: list[str], ratio: Callable[..., float], *args) -> float | None:
+    """``ratio(*args)``, or ``None`` and a warning when its denominator is degenerate."""
+    try:
+        return ratio(*args)
+    except DegenerateDenominatorError as exc:
+        warnings.append(str(exc))
+        return None
 
 
 def _run_measure(config: RunConfig, warnings: list[str]) -> dict:
+    """evaluate a risk measure on a loss panel"""
     panel = parse_panel_csv(config.input)
-    kind = _construct(MeasureKind, _require(config.kind, "--kind"), _MEASURE_ARGS, config)
+    kind = _construct(MeasureKind, config.kind, _MEASURE_ARGS, config)
     positions = {
         name: evaluate(panel.column_law(i), kind)
         for i, name in enumerate(panel.positions)
@@ -323,16 +335,18 @@ def _run_measure(config: RunConfig, warnings: list[str]) -> dict:
     }
 
 
+# allocate's --kind choices; each calls its function by its module-level name,
+# so a wrapper bound over that name (as bench/tracing.py installs) sees it
+_ALLOCATORS = {
+    "es": lambda panel, level: es_contributions(panel, level),
+    "expectile": lambda panel, level: expectile_contributions(panel, level),
+}
+
+
 def _run_allocate(config: RunConfig, warnings: list[str]) -> dict:
+    """Euler risk contributions per position"""
     panel = parse_panel_csv(config.input)
-    kind = _require(config.kind, "--kind")
-    level = _require(config.level, "--level")
-    if kind == "es":
-        allocation = es_contributions(panel, level)
-    elif kind == "expectile":
-        allocation = expectile_contributions(panel, level)
-    else:
-        raise ValueError("allocate supports --kind es or expectile")
+    allocation = _ALLOCATORS[config.kind](panel, config.level)
     if allocation.nonunique_gradient:
         warnings.append(
             "portfolio law has mass exactly on the threshold; the gradient is not "
@@ -348,47 +362,38 @@ def _run_allocate(config: RunConfig, warnings: list[str]) -> dict:
 
 
 def _run_diversify(config: RunConfig, warnings: list[str]) -> dict:
+    """diversification index and benefit"""
     panel = parse_panel_csv(config.input)
-    kind = _construct(MeasureKind, _require(config.kind, "--kind"), _MEASURE_ARGS, config)
-    results: dict = {"measure": kind.label}
-    try:
-        results["diversification_index"] = diversification_index(panel, kind)
-    except DegenerateDenominatorError as exc:
-        results["diversification_index"] = None
-        warnings.append(str(exc))
-    try:
-        results["diversification_benefit"] = diversification_benefit(panel, kind)
-    except DegenerateDenominatorError as exc:
-        results["diversification_benefit"] = None
-        warnings.append(str(exc))
+    kind = _construct(MeasureKind, config.kind, _MEASURE_ARGS, config)
+    results = {
+        "measure": kind.label,
+        "diversification_index": _or_warning(warnings, diversification_index, panel, kind),
+        "diversification_benefit": _or_warning(warnings, diversification_benefit, panel, kind),
+        "marginal_indices": None,
+    }
     if kind.family in (MeasureFamily.EXPECTED_SHORTFALL, MeasureFamily.EXPECTILE):
-        marginal = {}
-        for i, name in enumerate(panel.positions):
-            try:
-                marginal[name] = marginal_diversification_index(panel, i, kind)
-            except DegenerateDenominatorError as exc:
-                marginal[name] = None
-                warnings.append(str(exc))
-        results["marginal_indices"] = marginal
+        results["marginal_indices"] = {
+            name: _or_warning(warnings, marginal_diversification_index, panel, i, kind)
+            for i, name in enumerate(panel.positions)
+        }
     else:
-        results["marginal_indices"] = None
         warnings.append("marginal indices need --kind es or expectile")
     return results
 
 
 def _run_backtest_var(config: RunConfig, warnings: list[str]) -> dict:
-    records = parse_forecasts_csv(config.input)
-    level = _require(config.level, "--level")
-    realized = _forecast_column(records, "realized")
-    forecasts = _forecast_column(records, "var_forecast")
-    series = violation_process(forecasts, realized, level)
+    """violation-based VaR backtest"""
+    forecasts = parse_forecasts_csv(config.input)
+    series = violation_process(
+        forecasts.column("var_forecast"), forecasts.column("realized"), config.level
+    )
     coverage = unconditional_coverage_test(series)
     results = {
-        "alpha": level,
+        "alpha": config.level,
         "periods": len(series),
         "violations": series.count,
         "violation_rate": series.count / len(series),
-        "expected_rate": 1.0 - level,
+        "expected_rate": 1.0 - config.level,
         "coverage": _test_result_entry(coverage),
         "rejected": coverage.p_value < config.significance,
         "significance": config.significance,
@@ -402,62 +407,52 @@ def _run_backtest_var(config: RunConfig, warnings: list[str]) -> dict:
 
 
 def _run_backtest_es(config: RunConfig, warnings: list[str]) -> dict:
-    records = parse_forecasts_csv(config.input)
-    level = _require(config.level, "--level")
-    realized = _forecast_column(records, "realized")
-    es_series = _forecast_column(records, "es_forecast")
-    quantiles = [r.quantile_forecasts for r in records]
-    if any(q is None for q in quantiles):
+    """multi-quantile expected-shortfall backtest"""
+    forecasts = parse_forecasts_csv(config.input)
+    if not forecasts.quantiles.shape[1]:
         raise ParseError("backtest-es needs supporting-quantile columns q1..qK")
-    widths = {len(q) for q in quantiles}
-    if len(widths) != 1:
-        raise ParseError("supporting-quantile rows have inconsistent width")
-    columns = list(zip(*quantiles))
-    result = es_quantile_backtest(es_series, columns, realized, level, config.significance)
+    es_series, realized = forecasts.column("es_forecast"), forecasts.column("realized")
+    result = es_quantile_backtest(
+        es_series, forecasts.quantiles.T, realized, config.level, config.significance
+    )
     return {
         "alpha": result.alpha,
-        "levels": list(result.levels),
+        "levels": result.levels,
         "significance": result.significance,
         "per_level_significance": result.significance / len(result.levels),
         "passed": result.passed,
         "coverage": [_test_result_entry(r) for r in result.coverage],
         "independence": [_test_result_entry(r) for r in result.independence],
-        "approximation": _jsonable(result.approximation),
+        "approximation": result.approximation,
         "mean_gap": result.mean_gap,
-        "top_tail_observations": list(result.top_tail_observations),
+        "top_tail_observations": result.top_tail_observations,
     }
 
 
 def _run_backtest_pit(config: RunConfig, warnings: list[str]) -> dict:
-    records = parse_forecasts_csv(config.input)
-    realized = _forecast_column(records, "realized")
-    scenario_sets = []
-    for record in records:
-        if record.scenario_set is None:
-            raise ParseError(f"missing scenario_file for period {record.period}")
-        scenario_sets.append(record.scenario_set)
-    series = pit_series(scenario_sets, realized, rng_seed=config.seed)
-    results = {
+    """PIT distribution-forecast backtest"""
+    forecasts = parse_forecasts_csv(config.input)
+    series = pit_series(
+        forecasts.column("scenario_sets"), forecasts.column("realized"), rng_seed=config.seed
+    )
+    return {
         "periods": len(series),
         "rng_seed": series.rng_seed,
-        "z": _jsonable(series.z),
+        "z": series.z,
         "uniformity": _test_result_entry(pit_uniformity_test(series, bins=config.bins)),
-        "independence": _test_result_entry(
-            pit_independence_test(series, max_lag=config.max_lag)
-        ),
+        "independence": _test_result_entry(pit_independence_test(series, max_lag=config.max_lag)),
     }
-    return results
 
 
 def _run_elicit(config: RunConfig, warnings: list[str]) -> dict:
+    """score-minimizing estimate from a sample"""
     panel = parse_panel_csv(config.input)
     if panel.n_positions != 1:
         raise ParseError("elicit expects a single-column sample file")
     sample = panel.rows[:, 0]
     if config.two_step:
-        level = _require(config.level, "--level")
-        q_hat, es_hat = two_step_es_forecast(sample, level)
-        return {"quantile": q_hat, "es": es_hat, "alpha": level}
+        q_hat, es_hat = two_step_es_forecast(sample, config.level)
+        return {"quantile": q_hat, "es": es_hat, "alpha": config.level}
     s = _construct(ScoringFunction, config.score, _SCORE_ARGS, config)
     estimate = elicit(s, sample)
     return {
@@ -467,57 +462,87 @@ def _run_elicit(config: RunConfig, warnings: list[str]) -> dict:
     }
 
 
+def _expectile_comonotone(config: RunConfig) -> dict:
+    found = find_expectile_comonotone_counterexample(
+        config.level, weight_denominator=config.weight_denominator
+    )
+    return {
+        "tau": found.tau,
+        "factor_atoms": found.pair.factor.atoms,
+        "factor_weights": found.pair.factor.weights,
+        "map1": found.pair.f1,
+        "map2": found.pair.f2,
+        "sum_value": found.sum_value,
+        "part_values": found.part_values,
+        "gap": found.gap,
+    }
+
+
+def _var_superadditive(config: RunConfig) -> dict:
+    found = find_var_superadditivity_example(config.level)
+    return {
+        "alpha": found.alpha,
+        "rows": found.panel.rows,
+        "weights": found.panel.weights,
+        "portfolio_var": found.portfolio_var,
+        "position_vars": found.position_vars,
+        "gap": found.gap,
+    }
+
+
+# counterexample's --search choices
+_SEARCHES = {"expectile-comonotone": _expectile_comonotone, "var-superadditive": _var_superadditive}
+
+
 def _run_counterexample(config: RunConfig, warnings: list[str]) -> dict:
-    search = _require(config.search, "--search")
-    level = _require(config.level, "--level")
-    if search == "expectile-comonotone":
-        try:
-            found = find_expectile_comonotone_counterexample(
-                level, weight_denominator=config.weight_denominator
-            )
-        except CounterexampleNotFoundError as exc:
-            warnings.append(str(exc))
-            return {"search": search, "found": False}
-        return {
-            "search": search,
-            "found": True,
-            "tau": found.tau,
-            "factor_atoms": _jsonable(found.pair.factor.atoms),
-            "factor_weights": _jsonable(found.pair.factor.weights),
-            "map1": _jsonable(found.pair.f1),
-            "map2": _jsonable(found.pair.f2),
-            "sum_value": found.sum_value,
-            "part_values": list(found.part_values),
-            "gap": found.gap,
-        }
-    if search == "var-superadditive":
-        try:
-            found = find_var_superadditivity_example(level)
-        except CounterexampleNotFoundError as exc:
-            warnings.append(str(exc))
-            return {"search": search, "found": False}
-        return {
-            "search": search,
-            "found": True,
-            "alpha": found.alpha,
-            "rows": _jsonable(found.panel.rows),
-            "weights": _jsonable(found.panel.weights),
-            "portfolio_var": found.portfolio_var,
-            "position_vars": list(found.position_vars),
-            "gap": found.gap,
-        }
-    raise ValueError(f"unknown search {search!r}")
+    """coherence counterexample searches"""
+    try:
+        found = _SEARCHES[config.search](config)
+    except CounterexampleNotFoundError as exc:
+        warnings.append(str(exc))
+        return {"search": config.search, "found": False}
+    return {"search": config.search, "found": True, **found}
 
 
-_RUNNERS = {
-    "measure": _run_measure,
-    "allocate": _run_allocate,
-    "diversify": _run_diversify,
-    "backtest-var": _run_backtest_var,
-    "backtest-es": _run_backtest_es,
-    "backtest-pit": _run_backtest_pit,
-    "elicit": _run_elicit,
-    "counterexample": _run_counterexample,
+# argparse keywords of every flag
+_FLAGS = {
+    "input": {"required": True, "help": "input CSV path"},
+    "output": {"help": "report path (default: stdout)"},
+    "seed": {"type": int, "help": "RNG seed (default: 0)"},
+    "kind": {"choices": _MEASURE_CHOICES},
+    "level": {"type": float},
+    "significance": {"type": float},
+    "bins": {"type": int},
+    "max-lag": {"type": int},
+    "score": {"choices": _SCORE_CHOICES},
+    "threshold": {"type": float},
+    "two-step": {"action": "store_true", "help": "two-step ES forecast"},
+    "search": {"choices": tuple(_SEARCHES)},
+    "weight-denominator": {"type": int},
+}
+
+
+class _Command(NamedTuple):
+    run: Callable[[RunConfig, list[str]], dict]  # its docstring is the --help line
+    flags: tuple[str, ...]  # after --input, --output and --seed
+    required: tuple[str, ...] = ()
+    choices: dict[str, tuple[str, ...]] | None = None  # in place of the flag's own
+
+
+# the commands in --help order
+_COMMANDS = {
+    "measure": _Command(_run_measure, ("kind", "level"), ("kind",)),
+    "allocate": _Command(
+        _run_allocate, ("kind", "level"), ("kind", "level"), {"kind": tuple(_ALLOCATORS)}
+    ),
+    "diversify": _Command(_run_diversify, ("kind", "level"), ("kind",)),
+    "backtest-var": _Command(_run_backtest_var, ("level", "significance"), ("level",)),
+    "backtest-es": _Command(_run_backtest_es, ("level", "significance"), ("level",)),
+    "backtest-pit": _Command(_run_backtest_pit, ("bins", "max-lag")),
+    "elicit": _Command(_run_elicit, ("score", "level", "threshold", "two-step")),
+    "counterexample": _Command(
+        _run_counterexample, ("search", "level", "weight-denominator"), ("search", "level")
+    ),
 }
 
 
@@ -525,7 +550,7 @@ def run(config: RunConfig) -> dict:
     """Execute a command and return the report as a JSON-ready dict."""
     config.validate()
     warnings: list[str] = []
-    results = _RUNNERS[config.command](config, warnings)
+    results = _COMMANDS[config.command].run(config, warnings)
     return _jsonable(
         {
             "version": __version__,
@@ -538,16 +563,12 @@ def run(config: RunConfig) -> dict:
 
 
 def render_report(report: dict) -> str:
-    """Serialize a report deterministically (stable key order)."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def _write_report(report: dict, output_path: str) -> None:
-    text = render_report(report)
-    if output_path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(output_path).write_text(text)
+    """Serialize a report deterministically (stable key order). JSON has no
+    number for a non-finite result, so one raises :class:`ValueError`."""
+    try:
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError("the report holds a non-finite result, which JSON cannot encode") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -557,57 +578,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input", required=True, help="input CSV path")
-        p.add_argument("--output", help="report path (default: stdout)")
-        p.add_argument("--seed", type=int, help="RNG seed (default: 0)")
-
-    p = sub.add_parser("measure", help="evaluate a risk measure on a loss panel")
-    common(p)
-    p.add_argument("--kind", required=True, choices=_MEASURE_CHOICES)
-    p.add_argument("--level", type=float)
-
-    p = sub.add_parser("allocate", help="Euler risk contributions per position")
-    common(p)
-    p.add_argument("--kind", required=True, choices=("es", "expectile"))
-    p.add_argument("--level", type=float, required=True)
-
-    p = sub.add_parser("diversify", help="diversification index and benefit")
-    common(p)
-    p.add_argument("--kind", required=True, choices=_MEASURE_CHOICES)
-    p.add_argument("--level", type=float)
-
-    p = sub.add_parser("backtest-var", help="violation-based VaR backtest")
-    common(p)
-    p.add_argument("--level", type=float, required=True)
-    p.add_argument("--significance", type=float)
-
-    p = sub.add_parser("backtest-es", help="multi-quantile expected-shortfall backtest")
-    common(p)
-    p.add_argument("--level", type=float, required=True)
-    p.add_argument("--significance", type=float)
-
-    p = sub.add_parser("backtest-pit", help="PIT distribution-forecast backtest")
-    common(p)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--max-lag", type=int)
-
-    p = sub.add_parser("elicit", help="score-minimizing estimate from a sample")
-    common(p)
-    p.add_argument("--score", choices=_SCORE_CHOICES)
-    p.add_argument("--level", type=float)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--two-step", action="store_true", help="two-step ES forecast")
-
-    p = sub.add_parser("counterexample", help="coherence counterexample searches")
-    common(p)
-    p.add_argument(
-        "--search", required=True, choices=("expectile-comonotone", "var-superadditive")
-    )
-    p.add_argument("--level", type=float, required=True)
-    p.add_argument("--weight-denominator", type=int)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.run.__doc__)
+        for flag in ("input", "output", "seed", *command.flags):
+            spec = dict(_FLAGS[flag])
+            if flag in command.required:
+                spec["required"] = True
+            if command.choices and flag in command.choices:
+                spec["choices"] = command.choices[flag]
+            p.add_argument(f"--{flag}", **spec)
     return parser
 
 
@@ -635,12 +614,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        report = run(config)
+        text = render_report(run(config))
+        if config.output == "-":
+            sys.stdout.write(text)
+        else:
+            Path(config.output).write_text(text)
     except (TailriskError, ValueError, OSError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
         return 2
-    _write_report(report, config.output)
     return 0
 
 

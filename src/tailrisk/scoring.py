@@ -24,7 +24,6 @@ import numpy as np
 from .distribution import DiscreteDistribution, Level, LevelKind, level_value
 from .errors import (
     EmptySampleError,
-    EmptyScenarioSetError,
     EmptyTailError,
     ShapeMismatchError,
 )
@@ -33,7 +32,6 @@ from .measures import expectile, mean, value_at_risk
 __all__ = [
     "ScoreKind",
     "ScoringFunction",
-    "ForecastRecord",
     "Winner",
     "score",
     "mean_score",
@@ -226,32 +224,3 @@ def compare_forecasts(
     else:
         winner = Winner.NEITHER
     return ma, mb, winner
-
-
-@dataclass(frozen=True)
-class ForecastRecord:
-    """One period of forecast data aligned with its realized loss.
-
-    At least one of ``var_forecast``, ``es_forecast``, ``scenario_set`` must
-    be present; ``scenario_set`` is a distribution forecast given by scenario
-    values. ``quantile_forecasts`` carries the supporting-quantile forecasts
-    used by the multi-quantile expected-shortfall backtest.
-    """
-
-    period: int
-    realized: float | None = None
-    var_forecast: float | None = None
-    es_forecast: float | None = None
-    scenario_set: tuple[float, ...] | None = None
-    quantile_forecasts: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if (
-            self.var_forecast is None
-            and self.es_forecast is None
-            and self.scenario_set is None
-            and self.quantile_forecasts is None
-        ):
-            raise ValueError("a forecast record needs at least one forecast field")
-        if self.scenario_set is not None and len(self.scenario_set) == 0:
-            raise EmptyScenarioSetError("scenario_set must be non-empty when present")

@@ -62,18 +62,21 @@ class TestParseForecastsCsv:
             tmp_path / "f.csv",
             "period,realized,var_forecast\n1,0.5,1.0\n2,1.5,1.0\n",
         )
-        records = parse_forecasts_csv(path)
-        assert [r.var_forecast for r in records] == [1.0, 1.0]
-        assert [r.realized for r in records] == [0.5, 1.5]
+        forecasts = parse_forecasts_csv(path)
+        assert len(forecasts) == 2
+        assert forecasts.column("var_forecast").tolist() == [1.0, 1.0]
+        assert forecasts.column("realized").tolist() == [0.5, 1.5]
+        assert forecasts.es_forecast is None and forecasts.scenario_sets is None
+        assert forecasts.quantiles.shape == (2, 0)
 
     def test_es_with_quantile_columns(self, tmp_path):
         path = write(
             tmp_path / "f.csv",
             "period,realized,es_forecast,q1,q2,q3,q4\n1,0.5,3.0,1,2,3,4\n",
         )
-        records = parse_forecasts_csv(path)
-        assert records[0].quantile_forecasts == (1.0, 2.0, 3.0, 4.0)
-        assert records[0].es_forecast == 3.0
+        forecasts = parse_forecasts_csv(path)
+        assert forecasts.quantiles.tolist() == [[1.0, 2.0, 3.0, 4.0]]
+        assert forecasts.column("es_forecast").tolist() == [3.0]
 
     def test_scenario_reference(self, tmp_path):
         write(tmp_path / "s1.txt", "1.0\n2.0\n3.0\n")
@@ -81,8 +84,53 @@ class TestParseForecastsCsv:
             tmp_path / "f.csv",
             "period,realized,scenario_file\n1,2.5,s1.txt\n",
         )
-        records = parse_forecasts_csv(path)
-        assert records[0].scenario_set == (1.0, 2.0, 3.0)
+        forecasts = parse_forecasts_csv(path)
+        assert forecasts.column("scenario_sets") == [[1.0, 2.0, 3.0]]
+
+    def test_header_names_are_stripped(self, tmp_path):
+        path = write(tmp_path / "f.csv", "period, realized ,var_forecast\n1,0.5,1.0\n")
+        assert parse_forecasts_csv(path).column("realized").tolist() == [0.5]
+
+    def test_blank_cell_is_missing_for_its_period(self, tmp_path):
+        path = write(
+            tmp_path / "f.csv",
+            "period,realized,var_forecast,es_forecast\n7,0.5,1.0,\n8,1.5,,2.0\n",
+        )
+        forecasts = parse_forecasts_csv(path)
+        with pytest.raises(ParseError, match="missing var_forecast for period 8"):
+            forecasts.column("var_forecast")
+        with pytest.raises(ParseError, match="missing es_forecast for period 7"):
+            forecasts.column("es_forecast")
+        with pytest.raises(ParseError, match="missing scenario_file for period 7"):
+            forecasts.column("scenario_sets")
+
+    @pytest.mark.parametrize(
+        "row, column",
+        [
+            ("2,nan,1.0,3,4", "realized"),
+            ("2,0.5,inf,3,4", "var_forecast"),
+            ("2,0.5,1.0,-inf,4", "q1"),
+            ("2,0.5,1.0,3,x", "q2"),
+        ],
+    )
+    def test_cell_must_be_a_finite_number(self, tmp_path, row, column):
+        path = write(
+            tmp_path / "f.csv",
+            "period,realized,var_forecast,q1,q2\n1,0.5,1.0,3,4\n" + row + "\n",
+        )
+        with pytest.raises(ParseError, match="is not a finite number") as info:
+            parse_forecasts_csv(path)
+        assert (info.value.row, info.value.column) == (3, column)
+
+    def test_scenario_value_must_be_a_finite_number(self, tmp_path):
+        write(tmp_path / "s1.txt", "1.0\n\nnan\n")
+        path = write(
+            tmp_path / "f.csv",
+            "period,realized,scenario_file\n1,2.5,s1.txt\n",
+        )
+        with pytest.raises(ParseError, match="s1.txt line 3") as info:
+            parse_forecasts_csv(path)
+        assert (info.value.row, info.value.column) == (2, "scenario_file")
 
     def test_dangling_scenario_reference(self, tmp_path):
         path = write(
@@ -272,6 +320,10 @@ class TestCounterexampleCommand:
         assert report["results"]["portfolio_var"] > sum(report["results"]["position_vars"])
 
 
+VAR = ["backtest-var", "--level", "0.9"]
+PIT = ["backtest-pit"]
+
+
 class TestCliContract:
     def test_invalid_config_exits_two(self, uniform_panel):
         assert main(
@@ -285,6 +337,56 @@ class TestCliContract:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "ParseError"
         assert "(row 3)" in error["message"]
+
+    @pytest.mark.parametrize(
+        "argv, text, column",
+        [
+            (VAR, "period,realized,var_forecast\n1,0.5,1.0\n2,nan,1.0\n", "realized"),
+            (VAR, "period,realized,var_forecast\n1,0.5,1.0\n2,0.7,inf\n", "var_forecast"),
+            (PIT, "period,realized,scenario_file\n1,0.5,s.txt\n2,nan,s.txt\n", "realized"),
+            (PIT, "period,realized,scenario_file\n1,0.5,bad.txt\n", "scenario_file"),
+        ],
+    )
+    def test_non_finite_forecast_input_exits_two(self, tmp_path, capsys, argv, text, column):
+        write(tmp_path / "s.txt", "0.1\n0.2\n")
+        write(tmp_path / "bad.txt", "0.1\nnan\n")
+        path = write(tmp_path / "f.csv", text)
+        assert main(argv + ["--input", path]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ParseError"
+        assert "is not a finite number" in error["message"]
+        assert f"column {column!r}" in error["message"]
+
+    def test_empty_scenario_file_exits_two(self, tmp_path, capsys):
+        write(tmp_path / "s.txt", "\n")
+        path = write(tmp_path / "f.csv", "period,realized,scenario_file\n1,0.5,s.txt\n")
+        assert main(["backtest-pit", "--input", path]) == 2
+        assert "is empty" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+    def test_row_without_forecasts_exits_two(self, tmp_path, capsys):
+        path = write(
+            tmp_path / "f.csv",
+            "period,realized,var_forecast,es_forecast\n1,0.5,1.0,1.2\n2,0.7,,\n",
+        )
+        assert main(["backtest-var", "--input", path, "--level", "0.9"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["message"] == "missing var_forecast for period 2"
+
+    def test_unwritable_output_exits_two(self, tmp_path, uniform_panel, capsys):
+        out = tmp_path / "missing" / "r.json"
+        code = main(["measure", "--input", uniform_panel, "--kind", "mean", "--output", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "FileNotFoundError"
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_result_exits_two(self, tmp_path, capsys):
+        path = write(tmp_path / "p.csv", "a\n1e200\n-1e200\n")
+        out = tmp_path / "r.json"
+        code = main(["measure", "--input", path, "--kind", "variance", "--output", str(out)])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert "non-finite result" in error["message"]
+        assert not out.exists()
 
     def test_missing_input_exits_two(self, tmp_path):
         assert main(

@@ -7,8 +7,6 @@ import pytest
 from tailrisk import (
     DiscreteDistribution,
     EmptySampleError,
-    EmptyScenarioSetError,
-    ForecastRecord,
     Level,
     ScoringFunction,
     ShapeMismatchError,
@@ -278,20 +276,6 @@ class TestCompareForecasts:
     def test_length_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             compare_forecasts(ScoringFunction.squared_error(), [1.0], [1.0, 2.0], [1.0])
-
-
-class TestForecastRecord:
-    def test_requires_some_forecast(self):
-        with pytest.raises(ValueError):
-            ForecastRecord(period=1, realized=0.5)
-
-    def test_scenario_set_must_be_nonempty(self):
-        with pytest.raises(EmptyScenarioSetError):
-            ForecastRecord(period=1, realized=0.5, scenario_set=())
-
-    def test_valid_record(self):
-        r = ForecastRecord(period=3, realized=1.0, var_forecast=2.0)
-        assert r.period == 3 and r.var_forecast == 2.0
 
 
 def test_mean_score_matches_manual_average():
