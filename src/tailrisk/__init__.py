@@ -65,6 +65,7 @@ from .measures import (
     expected_shortfall,
     mean,
     risk_adjusted_capital,
+    supporting_levels,
     value_at_risk,
     variance,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "risk_adjusted_capital",
     "evaluate",
     "es_quantile_approximation",
+    "supporting_levels",
     # scoring
     "ScoreKind",
     "ScoringFunction",

@@ -22,6 +22,10 @@ Distribution forecasts
 Counterexample searches
    Exhaustive small-grid searches exhibiting that expectiles are not
    comonotonically additive and that VaR can be superadditive.
+
+The four tests that need a distribution's tail (coverage, independence, PIT
+uniformity, PIT independence) import ``scipy`` when called, so importing this
+module, or running a command that makes no such test, loads only numpy.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
-from scipy.special import xlogy
 
 from .allocation import LossPanel
 from .distribution import (
@@ -50,7 +52,7 @@ from .errors import (
     InsufficientDataError,
     ShapeMismatchError,
 )
-from .measures import expectile, value_at_risk
+from .measures import expectile, supporting_levels, value_at_risk
 
 __all__ = [
     "SIGNIFICANCE_LEVELS",
@@ -148,6 +150,8 @@ def _make_result(method: str, statistic: float, p_value: float, notes=()) -> Tes
 
 def unconditional_coverage_test(v: ViolationSeries) -> TestResult:
     """Exact two-sided binomial test of count ~ Binomial(T, 1 - alpha)."""
+    from scipy import stats
+
     t = len(v)
     p0 = 1.0 - v.alpha.value
     k = v.count
@@ -164,6 +168,9 @@ def independence_test(v: ViolationSeries) -> TestResult:
     Degenerate series (no violations, or nothing but violations) cannot move
     the statistic and return p-value 1 with a note.
     """
+    from scipy import stats
+    from scipy.special import xlogy
+
     t = len(v)
     if t < 2:
         raise InsufficientDataError("independence test needs at least two periods")
@@ -221,17 +228,17 @@ def es_quantile_backtest(
 ) -> EsQuantileBacktestResult:
     """Backtest expected-shortfall forecasts through their supporting quantiles.
 
-    With K supporting series, the levels are a + k*(1-a)/K for k = 0..K-1
-    (K = 4 recovers the usual four-point approximation). Each level's
-    violation process is run through the coverage and independence tests; the
-    joint verdict Bonferroni-adjusts coverage to significance/K.
+    With K supporting series, the levels are ``supporting_levels(alpha, K)``,
+    a + k*(1-a)/K for k = 0..K-1 (K = 4 recovers the usual four-point
+    approximation). Each level's violation process is run through the
+    coverage and independence tests; the joint verdict Bonferroni-adjusts
+    coverage to significance/K.
     """
     a = level_value(alpha, LevelKind.QUANTILE)
     if not 0.0 < significance <= 0.5:
         raise ValueError(f"significance must lie in (0, 0.5], got {significance}")
-    k_points = len(quantile_forecasts)
-    if not 2 <= k_points <= 16:
-        raise ValueError(f"need between 2 and 16 supporting quantile series, got {k_points}")
+    levels = supporting_levels(a, len(quantile_forecasts))
+    k_points = len(levels)
     losses = np.asarray(realizations, dtype=float).ravel()
     es_series = np.asarray(es_forecasts, dtype=float).ravel()
     if es_series.size != losses.size:
@@ -244,7 +251,6 @@ def es_quantile_backtest(
             raise ShapeMismatchError(
                 f"quantile series {idx + 1} has {qf.size} entries for {losses.size} realizations"
             )
-    levels = tuple(a + k * (1.0 - a) / k_points for k in range(k_points))
     coverage = []
     independence = []
     per_level = significance / k_points
@@ -354,6 +360,8 @@ def pit_series(
 
 def pit_uniformity_test(p: PitSeries, bins: int = 10) -> TestResult:
     """Pearson chi-square test of the PIT values against equal bin probabilities."""
+    from scipy import stats
+
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
     t = len(p)
@@ -373,6 +381,8 @@ def pit_independence_test(
 ) -> TestResult:
     """Portmanteau (Ljung-Box) test on autocorrelations of the PIT values and
     their low integer powers, Bonferroni-combined across powers."""
+    from scipy import stats
+
     if max_lag < 1:
         raise ValueError(f"max_lag must be at least 1, got {max_lag}")
     if len(powers) == 0:

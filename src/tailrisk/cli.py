@@ -3,13 +3,17 @@
 Commands dispatch to the library modules; statistical verdicts are data in
 the report, never process failures. Exit code 0 means the run completed
 (whatever the verdicts say), exit code 2 means the inputs were unusable, the
-report could not be written, or a result is not a finite number.
+report could not be written, or a result is not a finite number, and exit
+code 3 means a fault inside the program. Past argument parsing, every error
+is one JSON object on standard error. An error's row is the line of the input
+file it sits on.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -134,6 +138,15 @@ def _open_csv(path: Path):
             raise ParseError(f"malformed CSV: {exc}", row=reader.line_num) from None
 
 
+def _record_line(path: Path, index: int) -> int:
+    """The file line on which data record ``index`` (from 0, after the header)
+    ends; a quoted cell may span lines. Read again only to place an error."""
+    with _open_csv(path) as reader:
+        for _ in itertools.islice(reader, index + 2):
+            pass
+        return reader.line_num
+
+
 def _finite_floats(cells: Sequence[str], locate: Callable[[int], tuple]) -> list[float]:
     """``float()`` of every cell, each required to be finite. The first cell
     that is not raises a :class:`ParseError`; ``locate(i)`` gives cell ``i``'s
@@ -168,13 +181,24 @@ def parse_panel_csv(path: str | Path) -> LossPanel:
         if any(not name for name in names):
             raise ParseError("blank position name in header", row=1)
         rows = []
-        for row_idx, row in enumerate(reader, start=2):
+        # an error's row is the line the reader stopped on; a blank line is an
+        # error there, since in a one-column panel it is an empty cell
+        for row in reader:
             if len(row) != len(names):
-                raise ParseError(f"expected {len(names)} cells, found {len(row)}", row=row_idx)
-            rows.append(_finite_floats(row, lambda i: (row_idx, names[i], "")))
+                problem = f"expected {len(names)} cells, found {len(row)}" if row else "blank line"
+                raise ParseError(problem, row=reader.line_num)
+            rows.append(_finite_floats(row, lambda i: (reader.line_num, names[i], "")))
     if not rows:
         raise ParseError("panel has no data rows", row=2)
-    return LossPanel.from_rows(rows, positions=names)
+    panel = LossPanel.from_rows(rows, positions=names)
+    with np.errstate(over="ignore"):
+        overflowed = ~np.isfinite(panel.portfolio_losses())
+    if overflowed.any():
+        raise ParseError(
+            "portfolio loss overflows: the row sums past the largest float",
+            row=_record_line(path, int(np.argmax(overflowed))),
+        )
+    return panel
 
 
 def _read_scenario_file(path: Path, row_idx: int) -> list[float]:
@@ -243,8 +267,11 @@ def parse_forecasts_csv(path: str | Path) -> ForecastColumns:
         numbers = ["realized", "var_forecast", "es_forecast", *quantile_columns]
         cells_of = {c: [] for c in numbers if c in header}
         periods, scenario_sets = [], []
-        # a blank line is no record, and a short record ends in blank cells
-        for row_idx, row in enumerate(filter(None, reader), start=2):
+        # a blank line is an error, as in a panel; a short record ends in blank cells
+        for row in reader:
+            row_idx = reader.line_num
+            if not row:
+                raise ParseError("blank line", row=row_idx)
             cells = {c: cell.strip() for c, cell in zip(header, row + [""] * len(header))}
             try:
                 periods.append(int(cells["period"]))
@@ -277,7 +304,7 @@ def parse_forecasts_csv(path: str | Path) -> ForecastColumns:
         present = [i for i, cell in enumerate(cells) if cell]
         floats[c] = np.full(len(periods), np.nan)
         floats[c][present] = _finite_floats(
-            [cells[i] for i in present], lambda k: (present[k] + 2, c, "")
+            [cells[i] for i in present], lambda k: (_record_line(path, present[k]), c, "")
         )
     return ForecastColumns(
         periods,
@@ -550,7 +577,10 @@ def run(config: RunConfig) -> dict:
     """Execute a command and return the report as a JSON-ready dict."""
     config.validate()
     warnings: list[str] = []
-    results = _COMMANDS[config.command].run(config, warnings)
+    # a result that overflows is inf or nan, which render_report rejects;
+    # numpy's warning would only print a second message ahead of that error
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = _COMMANDS[config.command].run(config, warnings)
     return _jsonable(
         {
             "version": __version__,
@@ -609,6 +639,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
+def _report_error(exc: Exception, code: int) -> int:
+    error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -620,9 +656,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             Path(config.output).write_text(text)
     except (TailriskError, ValueError, OSError) as exc:
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
-        return 2
+        return _report_error(exc, 2)
+    except Exception as exc:  # a fault of the program, not of its input
+        return _report_error(exc, 3)
     return 0
 
 

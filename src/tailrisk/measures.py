@@ -33,6 +33,7 @@ __all__ = [
     "risk_adjusted_capital",
     "evaluate",
     "es_quantile_approximation",
+    "supporting_levels",
 ]
 
 
@@ -201,12 +202,18 @@ def es_quantile_approximation(
 ) -> float:
     """Left-endpoint quantile approximation of expected shortfall.
 
-    Averages the quantiles at the levels a + k*(1-a)/points for
-    k = 0, ..., points-1. Because the quantile function is nondecreasing this
-    left-endpoint Riemann sum never exceeds the exact expected shortfall.
+    Averages the quantiles at the :func:`supporting_levels`. Because the
+    quantile function is nondecreasing this left-endpoint Riemann sum never
+    exceeds the exact expected shortfall.
     """
+    return float(np.mean([d.quantile(u) for u in supporting_levels(alpha, points)]))
+
+
+def supporting_levels(alpha: "Level | float", points: int = 4) -> tuple[float, ...]:
+    """The levels a + k*(1-a)/points for k = 0, ..., points-1, with
+    2 <= points <= 16, whose quantiles approximate expected shortfall at
+    ``alpha``; ``points = 4`` gives the usual four supporting quantiles."""
     a = level_value(alpha, LevelKind.QUANTILE)
     if not 2 <= points <= 16:
-        raise ValueError(f"points must lie in [2, 16], got {points}")
-    levels = a + np.arange(points) * (1.0 - a) / points
-    return float(np.mean([d.quantile(u) for u in levels]))
+        raise ValueError(f"need between 2 and 16 supporting quantile levels, got {points}")
+    return tuple(a + k * (1.0 - a) / points for k in range(points))

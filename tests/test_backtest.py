@@ -25,6 +25,7 @@ from tailrisk import (
     pit_series,
     pit_transform,
     pit_uniformity_test,
+    supporting_levels,
     unconditional_coverage_test,
     value_at_risk,
     violation_process,
@@ -179,6 +180,13 @@ class TestEsQuantileBacktest:
             np.full(t, 3.0), [np.full(t, 2.0)] * 4, losses, 0.99
         )
         assert result.levels == pytest.approx((0.99, 0.9925, 0.995, 0.9975), abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.9, 0.975, 0.99])
+    def test_levels_are_the_supporting_levels(self, alpha):
+        t = 10
+        for k in (2, 4, 16):
+            result = es_quantile_backtest(np.zeros(t), [np.zeros(t)] * k, np.zeros(t), alpha)
+            assert result.levels == supporting_levels(alpha, k)
 
     def test_uniform_population_approximation_gap(self):
         d = DiscreteDistribution.from_sample(range(1, 101))

@@ -55,6 +55,20 @@ class TestParsePanelCsv:
         with pytest.raises(ParseError):
             parse_panel_csv(path)
 
+    def test_blank_line_is_an_error_at_its_line(self, tmp_path):
+        # in a one-column panel a blank line is an empty cell, not a skipped row
+        path = write(tmp_path / "p.csv", "loss\n1\n\n3\n")
+        with pytest.raises(ParseError, match="blank line") as info:
+            parse_panel_csv(path)
+        assert info.value.row == 3
+
+    def test_row_is_the_file_line(self, tmp_path):
+        # a quoted cell spanning two lines puts the next record on line 4
+        path = write(tmp_path / "p.csv", 'a,b\n1,"2\n"\n3,x\n')
+        with pytest.raises(ParseError) as info:
+            parse_panel_csv(path)
+        assert (info.value.row, info.value.column) == (4, "b")
+
 
 class TestParseForecastsCsv:
     def test_var_only(self, tmp_path):
@@ -149,6 +163,18 @@ class TestParseForecastsCsv:
         with pytest.raises(ParseError) as info:
             parse_forecasts_csv(path)
         assert info.value.row == 3
+
+    def test_blank_line_is_an_error_at_its_line(self, tmp_path):
+        path = write(tmp_path / "f.csv", "period,realized,var_forecast\n1,0.5,1.0\n\n3,x,1.0\n")
+        with pytest.raises(ParseError, match="blank line") as info:
+            parse_forecasts_csv(path)
+        assert info.value.row == 3
+
+    def test_row_is_the_file_line(self, tmp_path):
+        path = write(tmp_path / "f.csv", 'period,realized,var_forecast\n1,0.5,"1.0\n"\n3,x,1.0\n')
+        with pytest.raises(ParseError) as info:
+            parse_forecasts_csv(path)
+        assert (info.value.row, info.value.column) == (4, "realized")
 
     def test_missing_realized_column(self, tmp_path):
         path = write(tmp_path / "f.csv", "period,var_forecast\n1,1.0\n")
@@ -378,7 +404,8 @@ class TestCliContract:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "FileNotFoundError"
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    # a numpy warning would become an exception, and so exit 3
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_result_exits_two(self, tmp_path, capsys):
         path = write(tmp_path / "p.csv", "a\n1e200\n-1e200\n")
         out = tmp_path / "r.json"
@@ -387,6 +414,39 @@ class TestCliContract:
         error = json.loads(capsys.readouterr().err)["error"]
         assert "non-finite result" in error["message"]
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_portfolio_sum_names_its_row(self, tmp_path, capsys):
+        path = write(tmp_path / "p.csv", "a,b\n1,2\n1e308,1e308\n1e308,1e308\n")
+        assert main(["measure", "--input", path, "--kind", "mean"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ParseError"
+        assert "portfolio loss overflows" in error["message"]
+        assert "(row 3)" in error["message"]
+
+    def test_blank_line_in_forecast_file_exits_two(self, tmp_path, capsys):
+        path = write(tmp_path / "f.csv", "period,realized,var_forecast\n1,0.5,1.0\n\n3,x,1.0\n")
+        assert main(VAR + ["--input", path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["message"] == "blank line (row 3)"
+
+    def test_internal_fault_exits_three(self, uniform_panel, monkeypatch, capsys):
+        def fault(config):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr("tailrisk.cli.run", fault)
+        assert main(["measure", "--input", uniform_panel, "--kind", "mean"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error == {"type": "RuntimeError", "message": "injected fault"}
+
+    def test_argparse_exit_passes_through(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["measure", "--kind", "mean"])
+        assert info.value.code == 2
+        with pytest.raises(SystemExit) as info:
+            main(["--version"])
+        assert info.value.code == 0
 
     def test_missing_input_exits_two(self, tmp_path):
         assert main(

@@ -16,6 +16,7 @@ from tailrisk import (
     expected_shortfall,
     mean,
     risk_adjusted_capital,
+    supporting_levels,
     value_at_risk,
     variance,
     wasserstein1,
@@ -284,3 +285,10 @@ class TestQuantileApproximation:
             es_quantile_approximation(d, 0.95, points=1)
         with pytest.raises(ValueError):
             es_quantile_approximation(d, 0.95, points=17)
+
+    def test_supporting_levels(self):
+        assert supporting_levels(0.95) == pytest.approx((0.95, 0.9625, 0.975, 0.9875), abs=1e-15)
+        assert supporting_levels(0.9, 2) == pytest.approx((0.9, 0.95), abs=1e-15)
+        for points in (1, 17):
+            with pytest.raises(ValueError):
+                supporting_levels(0.95, points)
