@@ -11,9 +11,11 @@ __version__ = "0.1.0"
 
 from .allocation import (
     AllocationResult,
+    DiversificationResult,
     LossPanel,
     diversification_benefit,
     diversification_index,
+    diversify,
     es_contributions,
     expectile_contributions,
     marginal_diversification_index,
@@ -118,6 +120,8 @@ __all__ = [
     "diversification_index",
     "marginal_diversification_index",
     "diversification_benefit",
+    "DiversificationResult",
+    "diversify",
     # backtest
     "ViolationSeries",
     "TestResult",

@@ -21,13 +21,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .distribution import DiscreteDistribution, Level, LevelKind, level_value
 from .errors import DegenerateDenominatorError, ShapeMismatchError
-from .measures import MeasureFamily, MeasureKind, evaluate, expectile, expected_shortfall, risk_adjusted_capital
+from .measures import (
+    MeasureFamily,
+    MeasureKind,
+    evaluate,
+    expectile,
+    expected_shortfall,
+    mean,
+    risk_adjusted_capital,
+)
 
 __all__ = [
     "LossPanel",
@@ -37,6 +45,8 @@ __all__ = [
     "diversification_index",
     "marginal_diversification_index",
     "diversification_benefit",
+    "DiversificationResult",
+    "diversify",
 ]
 
 _RESIDUAL_TOL = 1e-10
@@ -141,9 +151,11 @@ class AllocationResult:
 
 def es_contributions(panel: LossPanel, alpha: "Level | float") -> AllocationResult:
     """Expected-shortfall contributions E[L_i | tail weighting] per position."""
-    a = level_value(alpha, LevelKind.QUANTILE)
+    return _es_contributions(panel, level_value(alpha, LevelKind.QUANTILE), panel.portfolio_law())
+
+
+def _es_contributions(panel: LossPanel, a: float, law: DiscreteDistribution) -> AllocationResult:
     portfolio = panel.portfolio_losses()
-    law = panel.portfolio_law()
     q = law.quantile(a)
     above = portfolio > q
     at = portfolio == q
@@ -174,11 +186,17 @@ def expectile_contributions(panel: LossPanel, tau: "Level | float") -> Allocatio
     below it 1 - tau, normalized to total mass one. Requires tau >= 1/2 (the
     coherent range).
     """
-    t = level_value(tau, LevelKind.EXPECTILE)
+    return _expectile_contributions(
+        panel, level_value(tau, LevelKind.EXPECTILE), panel.portfolio_law()
+    )
+
+
+def _expectile_contributions(
+    panel: LossPanel, t: float, law: DiscreteDistribution
+) -> AllocationResult:
     if t < 0.5:
         raise ValueError(f"expectile contributions require tau >= 1/2, got {t}")
     portfolio = panel.portfolio_losses()
-    law = panel.portfolio_law()
     e = expectile(law, t)
     above = portfolio > e
     w = panel.weights
@@ -196,8 +214,48 @@ def expectile_contributions(panel: LossPanel, tau: "Level | float") -> Allocatio
     )
 
 
+# the measures with Euler contributions, and their kernels
+_KERNELS = {
+    MeasureFamily.EXPECTED_SHORTFALL: _es_contributions,
+    MeasureFamily.EXPECTILE: _expectile_contributions,
+}
+
+
+def _allocate(panel: LossPanel, kind: MeasureKind, law: DiscreteDistribution) -> AllocationResult:
+    """The Euler allocation of ``kind``, given the panel's portfolio law."""
+    if kind.family not in _KERNELS:
+        raise ValueError(f"contributions are defined for es and expectile, not {kind.family.value}")
+    return _KERNELS[kind.family](panel, kind.level.value, law)
+
+
 def _standalone_values(panel: LossPanel, kind: MeasureKind) -> list[float]:
     return [evaluate(panel.column_law(i), kind) for i in range(panel.n_positions)]
+
+
+def _index(total: float, standalone: Sequence[float]) -> float:
+    denominator = math.fsum(standalone)
+    if denominator == 0.0:
+        raise DegenerateDenominatorError(
+            "sum of standalone measures is zero; the diversification index is undefined"
+        )
+    return total / denominator
+
+
+def _marginal_index(contribution: float, standalone: float, i: int) -> float:
+    if standalone == 0.0:
+        raise DegenerateDenominatorError(
+            f"standalone measure of position {i} is zero; the marginal index is undefined"
+        )
+    return contribution / standalone
+
+
+def _benefit(rac_total: float, rac_parts: Iterable[float]) -> float:
+    denominator = math.fsum(rac_parts)
+    if denominator <= 0.0:
+        raise DegenerateDenominatorError(
+            "sum of standalone risk-adjusted capital must be positive"
+        )
+    return 1.0 - rac_total / denominator
 
 
 def diversification_index(panel: LossPanel, kind: MeasureKind) -> float:
@@ -207,31 +265,14 @@ def diversification_index(panel: LossPanel, kind: MeasureKind) -> float:
     1 when the positions are comonotone and the measure is comonotonically
     additive.
     """
-    total = evaluate(panel.portfolio_law(), kind)
-    denominator = math.fsum(_standalone_values(panel, kind))
-    if denominator == 0.0:
-        raise DegenerateDenominatorError(
-            "sum of standalone measures is zero; the diversification index is undefined"
-        )
-    return total / denominator
+    return _index(evaluate(panel.portfolio_law(), kind), _standalone_values(panel, kind))
 
 
 def marginal_diversification_index(panel: LossPanel, i: int, kind: MeasureKind) -> float:
     """Euler contribution of position ``i`` divided by its standalone measure."""
-    if kind.family is MeasureFamily.EXPECTED_SHORTFALL:
-        allocation = es_contributions(panel, kind.level)
-    elif kind.family is MeasureFamily.EXPECTILE:
-        allocation = expectile_contributions(panel, kind.level)
-    else:
-        raise ValueError(
-            f"contributions are defined for es and expectile, not {kind.family.value}"
-        )
+    allocation = _allocate(panel, kind, panel.portfolio_law())
     standalone = evaluate(panel.column_law(i), kind)
-    if standalone == 0.0:
-        raise DegenerateDenominatorError(
-            f"standalone measure of position {i} is zero; the marginal index is undefined"
-        )
-    return allocation.contributions[i] / standalone
+    return _marginal_index(allocation.contributions[i], standalone, i)
 
 
 def diversification_benefit(panel: LossPanel, kind: MeasureKind) -> float:
@@ -240,12 +281,55 @@ def diversification_benefit(panel: LossPanel, kind: MeasureKind) -> float:
     1 means a fully hedged portfolio, 0 comonotone risks, and a value in
     between the fraction of capital saved by diversification.
     """
-    rac_total = risk_adjusted_capital(panel.portfolio_law(), kind)
-    rac_parts = math.fsum(
-        risk_adjusted_capital(panel.column_law(i), kind) for i in range(panel.n_positions)
+    return _benefit(
+        risk_adjusted_capital(panel.portfolio_law(), kind),
+        (risk_adjusted_capital(panel.column_law(i), kind) for i in range(panel.n_positions)),
     )
-    if rac_parts <= 0.0:
-        raise DegenerateDenominatorError(
-            "sum of standalone risk-adjusted capital must be positive"
+
+
+@dataclass(frozen=True)
+class DiversificationResult:
+    """The diversification index, benefit and marginal indices of one panel
+    under one measure. A result whose denominator is degenerate is ``None``,
+    and ``warnings`` holds why, in the order index, benefit, positions.
+    ``marginal_indices`` is ``None`` for a measure without Euler
+    contributions; only es and expectile have them."""
+
+    index: float | None
+    benefit: float | None
+    marginal_indices: tuple[float | None, ...] | None
+    warnings: tuple[str, ...]
+
+
+def diversify(panel: LossPanel, kind: MeasureKind) -> DiversificationResult:
+    """Every diversification result from one allocation, the portfolio law
+    and each position's law built once. Each value equals the one
+    :func:`diversification_index`, :func:`diversification_benefit` or
+    :func:`marginal_diversification_index` returns."""
+    law = panel.portfolio_law()
+    total = evaluate(law, kind)
+    rac_total = total - mean(law)  # risk_adjusted_capital(law, kind)
+    allocation = _allocate(panel, kind, law) if kind.family in _KERNELS else None
+    standalone, rac_parts = [], []
+    for i in range(panel.n_positions):
+        column = panel.column_law(i)  # one position's law at a time
+        standalone.append(evaluate(column, kind))
+        rac_parts.append(standalone[-1] - mean(column))
+    warnings: list[str] = []
+
+    def attempt(ratio, *args) -> float | None:
+        try:
+            return ratio(*args)
+        except DegenerateDenominatorError as exc:
+            warnings.append(str(exc))
+            return None
+
+    index = attempt(_index, total, standalone)
+    benefit = attempt(_benefit, rac_total, rac_parts)
+    marginal = None
+    if allocation is not None:
+        marginal = tuple(
+            attempt(_marginal_index, c, s, i)
+            for i, (c, s) in enumerate(zip(allocation.contributions, standalone))
         )
-    return 1.0 - rac_total / rac_parts
+    return DiversificationResult(index, benefit, marginal, tuple(warnings))

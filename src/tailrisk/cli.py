@@ -17,23 +17,17 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__
-from .allocation import (
-    LossPanel,
-    diversification_benefit,
-    diversification_index,
-    es_contributions,
-    expectile_contributions,
-    marginal_diversification_index,
-)
+from .allocation import LossPanel, diversify, es_contributions, expectile_contributions
 from .backtest import (
     TestResult,
     es_quantile_backtest,
@@ -48,7 +42,6 @@ from .backtest import (
 )
 from .errors import (
     CounterexampleNotFoundError,
-    DegenerateDenominatorError,
     ParseError,
     TailriskError,
 )
@@ -127,13 +120,13 @@ def _construct(cls, name: str, args: dict[str, str], config: RunConfig):
 
 @contextmanager
 def _open_csv(path: Path):
-    """Open ``path`` with a csv reader; a malformed record, such as a cell
-    longer than the csv field size limit, becomes a :class:`ParseError` at
-    the line where the reader stopped."""
+    """Open ``path`` and yield the handle with a csv reader over it; a
+    malformed record, such as a cell longer than the csv field size limit,
+    becomes a :class:`ParseError` at the line where the reader stopped."""
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
         try:
-            yield reader
+            yield handle, reader
         except csv.Error as exc:
             raise ParseError(f"malformed CSV: {exc}", row=reader.line_num) from None
 
@@ -141,7 +134,7 @@ def _open_csv(path: Path):
 def _record_line(path: Path, index: int) -> int:
     """The file line on which data record ``index`` (from 0, after the header)
     ends; a quoted cell may span lines. Read again only to place an error."""
-    with _open_csv(path) as reader:
+    with _open_csv(path) as (_, reader):
         for _ in itertools.islice(reader, index + 2):
             pass
         return reader.line_num
@@ -164,15 +157,49 @@ def _finite_floats(cells: Sequence[str], locate: Callable[[int], tuple]) -> list
     return values
 
 
-def parse_panel_csv(path: str | Path) -> LossPanel:
-    """Read a loss panel: a header row of position names, then numeric rows.
+def _check_unique(header: list[str]) -> None:
+    """A repeated column name would hide one column's data behind another's."""
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise ParseError("repeated column name in header", row=1, column=name)
+        seen.add(name)
 
-    Losses use the positive-for-loss sign convention.
+
+def _bulk_floats(lines: Iterator[str], width: int) -> np.ndarray | None:
+    """The rest of ``lines`` as a T x ``width`` matrix, in one C-level pass.
+
+    ``None`` when only the row loop can say what the lines hold: the pass
+    fails, meets a value that is not finite or a row of another width, or
+    comes to a line it cannot judge. That is a blank line, which
+    ``np.loadtxt`` would skip, or one long enough to hold a cell over the csv
+    field size limit. The pass accepts a subset of what ``float()`` accepts
+    and gives the same bits.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ParseError(f"no such input file: {path}")
-    with _open_csv(path) as reader:
+    judged = re.compile(rf"(?=\s*\S).{{0,{csv.field_size_limit()}}}", re.DOTALL).fullmatch
+    source = itertools.chain(lines, ("",))  # ends in a blank line, so takewhile stops
+    trusted = itertools.takewhile(judged, source)
+    first = next(trusted, None)
+    if first is None:  # no data, or the first line is not judged
+        return None
+    try:
+        rows = np.loadtxt(
+            itertools.chain((first,), trusted),
+            delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float,
+        )
+    except ValueError:
+        return None
+    if next(source, None) is not None:  # takewhile stopped before the end
+        return None
+    if rows.shape[1] != width or not np.isfinite(rows).all():
+        return None
+    return rows
+
+
+def _read_panel(path: Path, bulk: bool) -> tuple[list[str], np.ndarray | list[list[float]] | None]:
+    """The position names and the data rows; with ``bulk`` the rows come
+    from :func:`_bulk_floats` and are ``None`` where it cannot be trusted."""
+    with _open_csv(path) as (handle, reader):
         try:
             header = next(reader)
         except StopIteration:
@@ -180,6 +207,9 @@ def parse_panel_csv(path: str | Path) -> LossPanel:
         names = [name.strip() for name in header]
         if any(not name for name in names):
             raise ParseError("blank position name in header", row=1)
+        _check_unique(names)
+        if bulk:
+            return names, _bulk_floats(handle, len(names))
         rows = []
         # an error's row is the line the reader stopped on; a blank line is an
         # error there, since in a one-column panel it is an empty cell
@@ -190,6 +220,22 @@ def parse_panel_csv(path: str | Path) -> LossPanel:
             rows.append(_finite_floats(row, lambda i: (reader.line_num, names[i], "")))
     if not rows:
         raise ParseError("panel has no data rows", row=2)
+    return names, rows
+
+
+def parse_panel_csv(path: str | Path) -> LossPanel:
+    """Read a loss panel: a header row of unique position names, then numeric
+    rows. The row loop defines what a panel may hold; a bulk pass reads the
+    file, and the loop reads it again only when that pass cannot be trusted.
+
+    Losses use the positive-for-loss sign convention.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ParseError(f"no such input file: {path}")
+    names, rows = _read_panel(path, bulk=True)
+    if rows is None:
+        names, rows = _read_panel(path, bulk=False)
     panel = LossPanel.from_rows(rows, positions=names)
     with np.errstate(over="ignore"):
         overflowed = ~np.isfinite(panel.portfolio_losses())
@@ -256,8 +302,9 @@ def parse_forecasts_csv(path: str | Path) -> ForecastColumns:
     if not path.is_file():
         raise ParseError(f"no such input file: {path}")
     scenario_cache: dict[Path, list[float]] = {}
-    with _open_csv(path) as reader:
+    with _open_csv(path) as (_, reader):
         header = [c.strip() for c in next(reader, [])]
+        _check_unique(header)
         for required in ("realized", "period"):
             if required not in header:
                 raise ParseError(f"missing required column {required!r}", row=1)
@@ -338,15 +385,6 @@ def _test_result_entry(result: TestResult) -> dict:
     }
 
 
-def _or_warning(warnings: list[str], ratio: Callable[..., float], *args) -> float | None:
-    """``ratio(*args)``, or ``None`` and a warning when its denominator is degenerate."""
-    try:
-        return ratio(*args)
-    except DegenerateDenominatorError as exc:
-        warnings.append(str(exc))
-        return None
-
-
 def _run_measure(config: RunConfig, warnings: list[str]) -> dict:
     """evaluate a risk measure on a loss panel"""
     panel = parse_panel_csv(config.input)
@@ -392,20 +430,17 @@ def _run_diversify(config: RunConfig, warnings: list[str]) -> dict:
     """diversification index and benefit"""
     panel = parse_panel_csv(config.input)
     kind = _construct(MeasureKind, config.kind, _MEASURE_ARGS, config)
-    results = {
-        "measure": kind.label,
-        "diversification_index": _or_warning(warnings, diversification_index, panel, kind),
-        "diversification_benefit": _or_warning(warnings, diversification_benefit, panel, kind),
-        "marginal_indices": None,
-    }
-    if kind.family in (MeasureFamily.EXPECTED_SHORTFALL, MeasureFamily.EXPECTILE):
-        results["marginal_indices"] = {
-            name: _or_warning(warnings, marginal_diversification_index, panel, i, kind)
-            for i, name in enumerate(panel.positions)
-        }
-    else:
+    found = diversify(panel, kind)
+    warnings.extend(found.warnings)
+    marginal = found.marginal_indices
+    if marginal is None:
         warnings.append("marginal indices need --kind es or expectile")
-    return results
+    return {
+        "measure": kind.label,
+        "diversification_index": found.index,
+        "diversification_benefit": found.benefit,
+        "marginal_indices": None if marginal is None else dict(zip(panel.positions, marginal)),
+    }
 
 
 def _run_backtest_var(config: RunConfig, warnings: list[str]) -> dict:

@@ -13,6 +13,7 @@ from tailrisk import (
     ShapeMismatchError,
     diversification_benefit,
     diversification_index,
+    diversify,
     es_contributions,
     expectile,
     expectile_contributions,
@@ -180,6 +181,40 @@ class TestDiversificationIndex:
             p = LossPanel.from_rows(rng.uniform(0.5, 3.0, size=(int(rng.integers(2, 40)), 3)))
             assert diversification_index(p, MeasureKind.es(0.8)) <= 1.0 + 1e-12
             assert diversification_index(p, MeasureKind.expectile(0.8)) <= 1.0 + 1e-12
+
+
+class TestDiversify:
+    @pytest.mark.parametrize(
+        "kind", [MeasureKind.var(0.9), MeasureKind.es(0.9), MeasureKind.expectile(0.8)]
+    )
+    def test_equals_the_one_result_functions(self, kind):
+        p = random_panel(np.random.default_rng(5), max_positions=8)
+        found = diversify(p, kind)
+        assert found.index == diversification_index(p, kind)
+        assert found.benefit == diversification_benefit(p, kind)
+        assert found.warnings == ()
+        if kind.family.value == "var":
+            assert found.marginal_indices is None
+        else:
+            assert found.marginal_indices == tuple(
+                marginal_diversification_index(p, i, kind) for i in range(p.n_positions)
+            )
+
+    def test_degenerate_results_are_none_with_their_reasons(self):
+        p = LossPanel.from_rows([[0.0, 0.0], [0.0, 0.0]])
+        found = diversify(p, MeasureKind.es(0.5))
+        assert (found.index, found.benefit, found.marginal_indices) == (None, None, (None, None))
+        assert [w.split(";")[0] for w in found.warnings] == [
+            "sum of standalone measures is zero",
+            "sum of standalone risk-adjusted capital must be positive",
+            "standalone measure of position 0 is zero",
+            "standalone measure of position 1 is zero",
+        ]
+
+    def test_expectile_below_one_half_raises_like_the_marginal_index(self):
+        p = bernoulli_product_panel()
+        with pytest.raises(ValueError, match="tau >= 1/2"):
+            diversify(p, MeasureKind.expectile(0.3))
 
 
 class TestMarginalDiversificationIndex:

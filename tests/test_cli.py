@@ -2,11 +2,21 @@
 codes, and deterministic JSON reports."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tailrisk import ParseError
+from tailrisk import (
+    DegenerateDenominatorError,
+    LossPanel,
+    MeasureKind,
+    ParseError,
+    diversification_benefit,
+    diversification_index,
+    marginal_diversification_index,
+)
+from tailrisk import cli
 from tailrisk.cli import main, parse_forecasts_csv, parse_panel_csv
 
 
@@ -61,6 +71,13 @@ class TestParsePanelCsv:
         with pytest.raises(ParseError, match="blank line") as info:
             parse_panel_csv(path)
         assert info.value.row == 3
+
+    def test_repeated_name_is_an_error(self, tmp_path):
+        # one of the two columns would otherwise be dropped from every report
+        path = write(tmp_path / "p.csv", "a,a\n1,3\n2,4\n")
+        with pytest.raises(ParseError, match="repeated column name") as info:
+            parse_panel_csv(path)
+        assert (info.value.row, info.value.column) == (1, "a")
 
     def test_row_is_the_file_line(self, tmp_path):
         # a quoted cell spanning two lines puts the next record on line 4
@@ -181,6 +198,109 @@ class TestParseForecastsCsv:
         with pytest.raises(ParseError):
             parse_forecasts_csv(path)
 
+    def test_repeated_column_is_an_error(self, tmp_path):
+        # the second var_forecast column would otherwise replace the first
+        path = write(
+            tmp_path / "f.csv", "period,realized,var_forecast,var_forecast\n1,0.5,1.0,9.0\n"
+        )
+        with pytest.raises(ParseError, match="repeated column name") as info:
+            parse_forecasts_csv(path)
+        assert (info.value.row, info.value.column) == (1, "var_forecast")
+
+
+# Panels that take each branch of the bulk pass and of the row loop: every panel
+# error input of this file, then the syntax where np.loadtxt and csv plus float()
+# could part ways. Written as bytes, so the line endings are the ones shown.
+BULK_CASES = [
+    "a,b\n1,2\n3\n",
+    "a,b\n1,2\n3,x\n",
+    "a,b\n",
+    "loss\n1\n\n3\n",
+    'a,b\n1,"2\n"\n3,x\n',
+    "a\n1\n" + "1" * 140000 + "\n",
+    "a\n1e200\n-1e200\n",
+    "a,b\n1,2\n1e308,1e308\n1e308,1e308\n",
+    "a,a\n1,2\n",
+    "",
+    # empty lines at the start, middle and end of the data, per line ending
+    *(
+        text.replace("\n", eol)
+        for eol in ("\n", "\r\n", "\r")
+        for text in (
+            "a,b\n\n1,2\n3,4\n", "a,b\n1,2\n\n3,4\n", "a,b\n1,2\n3,4\n\n", "a,b\n1,2\n3,4\n"
+        )
+    ),
+    "a,b\r\n1,2\n3,4\r5,6",
+    "loss\n1\n2\n\n",
+    "loss\n1\n \n2\n",
+    "a,b\n 1 ,\t2\t\n3 , 4\n",
+    "a,b\n1_0,2\n",
+    "a,b\n\uff11,2\n",
+    "a,b\n+.5,5.\n-.5,-5.\n",
+    'a,b\n"1","2"\n"3",4\n',
+    'a,b\n"1,5",2\n',
+    'a,b\n"1\n",2\n3,4\n',
+    'a,b\n"1"2,3\n',
+    'a,b\n1"2",3\n',
+    'a\n1\n"\n2\n',
+    "a,b\nnan,1\n",
+    "a,b\n1,inf\n",
+    "a,b\n1e400,1\n",
+    "a,b\n1,2,\n",
+    "a,b\n1,2\n3\n",
+    "a,b,c\n1,2\n3,4\n",
+    "a\n1\x002\n",
+    "a,b\n1,\x00\n",
+    "a\n1\n" + "0" * 140000 + "1\n",
+]
+
+
+def parse_outcome(path, capsys):
+    """What parse_panel_csv returns or raises, and what a CLI run on it prints."""
+    try:
+        panel = parse_panel_csv(path)
+        parsed = (panel.positions, panel.rows.shape, panel.rows.tobytes())
+    except ParseError as exc:
+        parsed = (str(exc), exc.row, exc.column)
+    code = main(["measure", "--input", path, "--kind", "mean"])
+    return parsed, code, capsys.readouterr()
+
+
+class TestBulkParse:
+    @pytest.mark.parametrize("text", BULK_CASES)
+    def test_bulk_pass_agrees_with_the_row_loop(self, tmp_path, monkeypatch, capsys, text):
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode())
+        bulk = parse_outcome(str(path), capsys)
+        monkeypatch.setattr(cli, "_bulk_floats", lambda lines, width: None)
+        assert parse_outcome(str(path), capsys) == bulk
+
+    @pytest.mark.parametrize(
+        "text, trusted",
+        [
+            ("a,b\r\n1,2\r\n3,4\r\n", True),
+            ("a,b\r1,2\r3,4", True),
+            ('a,b\n"1\n",2\n', True),
+            ("a,b\n 1 ,\t2\n", True),
+            ("a,b\n1,2\n\n", False),
+            ("a,b\n1_0,2\n", False),
+            ("a,b\n1,nan\n", False),
+            ("a,b,c\n1,2\n", False),
+            ("a\n" + "0" * 140000 + "1\n", False),
+        ],
+    )
+    def test_bulk_pass_is_trusted_only_where_it_can_judge(self, tmp_path, text, trusted):
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode())
+        _, rows = cli._read_panel(path, bulk=True)
+        assert (rows is not None) == trusted
+
+    def test_golden_panel_takes_the_bulk_pass(self):
+        path = Path(__file__).resolve().parent / "golden" / "panel.csv"
+        names, rows = cli._read_panel(path, bulk=True)
+        assert rows.shape == (60, 3)
+        assert rows.tobytes() == np.array(cli._read_panel(path, bulk=False)[1]).tobytes()
+
 
 class TestMeasureCommand:
     def test_es_on_uniform_panel(self, uniform_panel, tmp_path, capsys):
@@ -230,6 +350,57 @@ class TestDiversifyCommand:
         assert report["results"]["diversification_index"] == pytest.approx(0.75, abs=1e-12)
         assert report["results"]["diversification_benefit"] == pytest.approx(0.5, abs=1e-12)
         assert report["results"]["marginal_indices"]["a"] == pytest.approx(0.75, abs=1e-12)
+
+    @pytest.mark.parametrize("kind, level", [("es", 0.95), ("expectile", 0.9)])
+    def test_report_equals_the_public_functions(self, tmp_path, capsys, kind, level):
+        rows = np.random.default_rng(11).standard_t(4, size=(400, 50))
+        panel = LossPanel.from_rows(rows, positions=[f"p{i}" for i in range(50)])
+        lines = [",".join(panel.positions)] + [",".join(map(repr, row)) for row in rows.tolist()]
+        path = write(tmp_path / "p.csv", "\n".join(lines) + "\n")
+        assert main(["diversify", "--input", path, "--kind", kind, "--level", str(level)]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        measure = getattr(MeasureKind, kind)(level)
+        assert results["diversification_index"] == diversification_index(panel, measure)
+        assert results["diversification_benefit"] == diversification_benefit(panel, measure)
+        assert sorted(results["marginal_indices"]) == sorted(panel.positions)
+        for i, name in enumerate(panel.positions):
+            want = marginal_diversification_index(panel, i, measure)
+            assert results["marginal_indices"][name] == want
+
+    @pytest.mark.parametrize(
+        "text", ["a,b\n0,0\n0,0\n", "a,b,c\n1,0,2\n1,0,-2\n", "a,b\n1,0\n3,0\n"]
+    )
+    def test_warnings_follow_the_public_functions(self, tmp_path, capsys, text):
+        # zero standalone values: each undefined result is null, and its
+        # warning comes in the order index, benefit, positions
+        path = write(tmp_path / "p.csv", text)
+        panel = parse_panel_csv(path)
+        measure = MeasureKind.es(0.5)
+        calls = [
+            ("diversification_index", lambda: diversification_index(panel, measure)),
+            ("diversification_benefit", lambda: diversification_benefit(panel, measure)),
+        ] + [
+            (name, lambda i=i: marginal_diversification_index(panel, i, measure))
+            for i, name in enumerate(panel.positions)
+        ]
+        want, warnings = {}, []
+        for key, call in calls:
+            try:
+                want[key] = call()
+            except DegenerateDenominatorError as exc:
+                want[key] = None
+                warnings.append(str(exc))
+        assert warnings
+        assert main(["diversify", "--input", path, "--kind", "es", "--level", "0.5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        results = report["results"]
+        got = {
+            "diversification_index": results["diversification_index"],
+            "diversification_benefit": results["diversification_benefit"],
+            **results["marginal_indices"],
+        }
+        assert got == want
+        assert report["warnings"] == warnings
 
     def test_degenerate_denominator_becomes_warning(self, tmp_path, capsys):
         path = write(tmp_path / "p.csv", "a,b\n1,1\n1,1\n")  # point masses: RAC = 0
@@ -423,6 +594,15 @@ class TestCliContract:
         assert error["type"] == "ParseError"
         assert "portfolio loss overflows" in error["message"]
         assert "(row 3)" in error["message"]
+
+    def test_repeated_position_name_exits_two(self, tmp_path, capsys):
+        path = write(tmp_path / "p.csv", "a,a\n1,3\n2,4\n")
+        assert main(["allocate", "--input", path, "--kind", "es", "--level", "0.5"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {
+            "type": "ParseError",
+            "message": "repeated column name in header (row 1, column 'a')",
+        }
 
     def test_blank_line_in_forecast_file_exits_two(self, tmp_path, capsys):
         path = write(tmp_path / "f.csv", "period,realized,var_forecast\n1,0.5,1.0\n\n3,x,1.0\n")

@@ -1,4 +1,5 @@
-"""Import contract: scipy is loaded only by the statistical tests that need it.
+"""Import contract: scipy is loaded only by the statistical tests that need it,
+and the panel commands load nothing past ``import tailrisk.cli``.
 
 A cold CLI command pays for every module it imports, so commands that make no
 coverage, independence or PIT test must not load scipy. Each check runs in a
@@ -32,11 +33,29 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def run_cold(commands: list[list[str]]) -> list:
+# runs each argv list of argv[1] through cli.main, printing the modules loaded
+# since import; argparse loads its translations (gettext, locale) when it first
+# parses, so every argv is parsed once before the first module count
+NEW_MODULES = """
+import contextlib, io, json, sys
+from tailrisk import cli
+
+commands = json.loads(sys.argv[1])
+for argv in commands:
+    cli._build_parser().parse_args(argv)
+loaded = set(sys.modules)
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    print(json.dumps([code, sorted(set(sys.modules) - loaded)]))
+"""
+
+
+def run_cold(commands: list[list[str]], child: str = CHILD) -> list:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("TAILRISK_SEED", None)
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(commands)],
+        [sys.executable, "-c", child, json.dumps(commands)],
         cwd=GOLDEN, env=env, capture_output=True, text=True, check=True,
     )
     return [json.loads(line) for line in done.stdout.splitlines()]
@@ -55,3 +74,12 @@ def test_scipy_is_loaded_only_by_the_backtests():
     code, loaded = after_backtest
     assert code == 0
     assert "scipy.stats" in loaded
+
+
+def test_panel_commands_load_no_module_past_the_import():
+    # a lazy import on the parse path (np.loadtxt's, say) would slow every
+    # cold panel command
+    panel = [CASES[name] for name in ("measure-es", "diversify-es", "diversify-expectile")]
+    for code, loaded in run_cold(panel, NEW_MODULES):
+        assert code == 0
+        assert loaded == []

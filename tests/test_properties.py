@@ -1,5 +1,6 @@
 """Property tests over random laws and panels, with equal and unequal weights:
-VaR and ES against the scan and tail-form oracles, and full ES allocation."""
+VaR and ES against the scan and tail-form oracles, and full ES allocation;
+and panel files that parse back to exactly the numbers written."""
 
 import math
 from collections import Counter
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailrisk import DiscreteDistribution, LossPanel, es_contributions, expected_shortfall, value_at_risk
+from tailrisk import cli
 
 import oracles
 
@@ -98,3 +100,38 @@ def test_es_contributions_sum_to_total(case):
     assert abs(result.total - math.fsum(result.contributions)) <= 1e-10 * max(1.0, abs(result.total))
     want = oracles.es_tail_form(atoms, weights, alpha, total)
     assert abs(result.total - want) <= _es_bound(atoms, alpha)
+
+
+# finite values whose row sums cannot overflow, written at full precision
+written = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def panel_files(draw):
+    """(file text, the values written): cells in ``repr``, some quoted, some
+    padded with spaces or tabs, under one random line ending."""
+    t = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(written, min_size=m, max_size=m), min_size=t, max_size=t))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    padding = st.sampled_from(["", " ", "\t", " \t "])
+
+    def cell(value: float) -> str:
+        text = draw(padding) + repr(value) + draw(padding)
+        return f'"{text}"' if draw(st.booleans()) else text
+
+    lines = [",".join(f"p{j}" for j in range(m))]
+    lines += [",".join(cell(v) for v in row) for row in rows]
+    end = draw(st.sampled_from([eol, ""]))
+    return eol.join(lines) + end, np.array(rows, dtype=float)
+
+
+@PROPERTY
+@given(panel_files())
+def test_panel_file_parses_to_the_values_written(tmp_path_factory, case):
+    text, values = case
+    path = tmp_path_factory.mktemp("panel") / "p.csv"
+    path.write_bytes(text.encode())
+    _, bulk = cli._read_panel(path, bulk=True)
+    assert bulk.shape == values.shape and bulk.tobytes() == values.tobytes()
+    assert cli.parse_panel_csv(path).rows.tobytes() == values.tobytes()
