@@ -64,7 +64,7 @@ class LossPanel:
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise ShapeMismatchError(f"rows must be a T x m matrix, got shape {rows.shape}")
-        if not np.all(np.isfinite(rows)):
+        if not np.isfinite(rows).all():
             raise ValueError("losses must be finite")
         if len(self.positions) != rows.shape[1]:
             raise ShapeMismatchError(
@@ -73,7 +73,7 @@ class LossPanel:
         weights = np.asarray(self.weights, dtype=float).ravel()
         if weights.size != rows.shape[0]:
             raise ShapeMismatchError(f"{weights.size} weights for {rows.shape[0]} rows")
-        if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
+        if not 0.0 < weights.min() <= weights.max() < math.inf:  # False on NaN
             raise ValueError("row weights must be positive and finite")
         if abs(math.fsum(weights.tolist()) - 1.0) > 1e-12:
             raise ValueError("row weights must sum to 1")

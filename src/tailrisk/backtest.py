@@ -422,11 +422,13 @@ def pit_independence_test(
     return _make_result("pit-independence-portmanteau", worst_stat, combined, notes)
 
 
-def _positive_weight_vectors(n_parts: int, denominator: int) -> Iterator[tuple[float, ...]]:
-    # positive integer compositions of `denominator` into n_parts, as weights
-    for cut in itertools.combinations(range(1, denominator), n_parts - 1):
-        counts = np.diff((0, *cut, denominator))
-        yield tuple(float(c) / denominator for c in counts)
+def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
+    """Every way to split ``total`` into ``parts`` non-negative integers
+    (stars and bars), as count arrays, in lexicographic order of the bars."""
+    end = total + parts - 1
+    for bars in itertools.combinations(range(end), parts - 1):
+        edges = np.array((-1, *bars, end))
+        yield edges[1:] - edges[:-1] - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,8 +463,9 @@ def find_expectile_comonotone_counterexample(
         raise ValueError(f"the search targets tau in (1/2, 1), got {t}")
     atoms = np.asarray(factor_atoms, dtype=float)
     maps = list(itertools.combinations_with_replacement(sorted(map_values), atoms.size))
-    for weights in _positive_weight_vectors(atoms.size, weight_denominator):
-        factor = DiscreteDistribution(atoms, np.asarray(weights))
+    # a positive split of d into k parts is a non-negative split of d - k, plus one each
+    for counts in _compositions(weight_denominator - atoms.size, atoms.size):
+        factor = DiscreteDistribution(atoms, (counts + 1) / weight_denominator)
         for f1 in maps:
             for f2 in maps:
                 pair = ComonotonePair(factor, np.asarray(f1), np.asarray(f2))
@@ -547,12 +550,8 @@ def enumerate_joint_panels(
     """All joint laws of (L1, L2) on the atom grid with weights in multiples
     of 1/weight_denominator, yielded as two-position panels (zero-weight grid
     points are dropped)."""
-    grid = list(itertools.product(atoms_a, atoms_b))
-    n_cells = len(grid)
+    grid = np.array(list(itertools.product(atoms_a, atoms_b)), dtype=float)
     denominator = int(weight_denominator)
-    for cut in itertools.combinations(range(denominator + n_cells - 1), n_cells - 1):
-        counts = np.diff((-1, *cut, denominator + n_cells - 1)) - 1
+    for counts in _compositions(denominator, len(grid)):
         keep = counts > 0
-        rows = np.asarray(grid, dtype=float)[keep]
-        weights = counts[keep] / denominator
-        yield LossPanel.from_rows(rows, weights=weights)
+        yield LossPanel.from_rows(grid[keep], weights=counts[keep] / denominator)

@@ -53,8 +53,7 @@ class Level:
     kind: LevelKind
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.value < 1.0:
-            raise ValueError(f"level must lie strictly inside (0, 1), got {self.value}")
+        _check_level(self.value)
 
     @classmethod
     def quantile(cls, value: float) -> "Level":
@@ -68,15 +67,21 @@ class Level:
 _LEVEL_NAMES = {LevelKind.QUANTILE: "a quantile level", LevelKind.EXPECTILE: "an expectile level"}
 
 
+def _check_level(value: float) -> float:
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"level must lie strictly inside (0, 1), got {value}")
+    return value
+
+
 def level_value(level: "Level | float", kind: LevelKind) -> float:
     """Return the float value of a level of role ``kind``.
 
-    A :class:`Level` of the other role is rejected; a plain float is checked
-    by building a :class:`Level` from it.
+    A :class:`Level` of the other role is rejected; a plain number is
+    converted to float and checked by the rule :class:`Level` applies.
     """
     if not isinstance(level, Level):
-        level = Level(float(level), kind)
-    elif level.kind is not kind:
+        return _check_level(float(level))
+    if level.kind is not kind:
         raise ValueError(f"expected {_LEVEL_NAMES[kind]}, got {_LEVEL_NAMES[level.kind]}")
     return level.value
 
@@ -103,27 +108,43 @@ class DiscreteDistribution:
             raise ShapeMismatchError(
                 f"{atoms.size} atoms but {weights.size} weights"
             )
-        if not (np.isfinite(atoms).all() and np.isfinite(weights).all()):
+        n = atoms.size
+        lo, hi = float(weights.min()), float(weights.max())  # NaN if any weight is
+        # np.unique's sorts (np.sort to count, the default argsort to invert),
+        # so the merge equals np.unique's bit for bit, down to which of 0.0
+        # and -0.0 stands for their run
+        if lo == hi:
+            ordered = np.sort(atoms)
+        else:
+            perm = atoms.argsort()
+            ordered = atoms[perm]
+        # NaN sorts last, so the two ends decide the atoms' finiteness
+        finite = math.isfinite
+        if not (finite(ordered[0]) and finite(ordered[-1]) and finite(lo) and finite(hi)):
             raise ValueError("atoms and weights must be finite")
-        if (weights <= 0.0).any():
+        if not lo > 0.0:
             raise ValueError("all weights must be strictly positive")
-        if (weights == weights[0]).all():
+        first = np.empty(n, dtype=bool)  # the first atom of each run of equal atoms
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        merged_atoms = ordered[first]
+        if lo == hi:
             # equal weights: cumulative weights from integer atom counts, so
             # order-statistic boundaries like 95/100 are hit exactly at any size
-            n = atoms.size
-            merged_atoms, counts = np.unique(atoms, return_counts=True)
-            merged_weights = counts / n
-            cum = np.cumsum(counts) / n
-            total = float(weights[0]) * n  # the exact input sum, rounded once
+            bounds = np.append(first.nonzero()[0], n)  # where each run starts, then n
+            merged_weights = (bounds[1:] - bounds[:-1]) / n
+            cum = bounds[1:] / n
+            total = lo * n  # the exact input sum, rounded once
         else:
-            merged_atoms, inverse = np.unique(atoms, return_inverse=True)
+            inverse = np.empty(n, dtype=np.intp)
+            inverse[perm] = first.cumsum() - 1
             merged_weights = np.bincount(inverse, weights=weights)
             # general weights: split w * 2^53 into whole parts, whose running
             # sum is exact in float while it stays within 2^53, and remainders
             # of at most 1/2, whose running sum drifts far below one unit
             scaled = merged_weights * 2.0**53
             whole = np.rint(scaled)
-            cum = (np.cumsum(whole) + np.cumsum(scaled - whole)) / 2.0**53
+            cum = (whole.cumsum() + (scaled - whole).cumsum()) / 2.0**53
             cum[-1] = 1.0
             total = math.fsum(merged_weights.tolist())
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
@@ -153,17 +174,17 @@ class DiscreteDistribution:
         cumulative weight reaches ``u``."""
         if not 0.0 < u < 1.0:
             raise ValueError(f"quantile level must lie in (0, 1), got {u}")
-        idx = int(np.searchsorted(self.cum_weights, u, side="left"))
+        idx = int(self.cum_weights.searchsorted(u))
         return float(self.atoms[idx])
 
     def cdf(self, x: float) -> float:
         """P(L <= x)."""
-        k = int(np.searchsorted(self.atoms, x, side="right"))
+        k = int(self.atoms.searchsorted(x, side="right"))
         return 0.0 if k == 0 else float(self.cum_weights[k - 1])
 
     def cdf_left(self, x: float) -> float:
         """P(L < x), the left limit of the cdf at ``x``."""
-        k = int(np.searchsorted(self.atoms, x, side="left"))
+        k = int(self.atoms.searchsorted(x))
         return 0.0 if k == 0 else float(self.cum_weights[k - 1])
 
     def shift(self, offset: float) -> "DiscreteDistribution":

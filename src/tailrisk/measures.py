@@ -127,10 +127,9 @@ def expected_shortfall(d: DiscreteDistribution, alpha: "Level | float") -> float
     is a finite sum over the cumulative-weight segments above ``alpha``.
     """
     a = level_value(alpha, LevelKind.QUANTILE)
-    cum = d.cum_weights
-    lower = np.maximum(np.concatenate(([0.0], cum[:-1])), a)
-    seg = np.clip(cum - lower, 0.0, None)
-    return float(np.dot(d.atoms, seg)) / (1.0 - a)
+    # segment k is cum_k - max(cum_{k-1}, a) where cum_k >= a, and +0.0 below
+    edges = np.maximum(np.concatenate(([a], d.cum_weights)), a)
+    return float(np.dot(d.atoms, edges[1:] - edges[:-1])) / (1.0 - a)
 
 
 def expectile(d: DiscreteDistribution, tau: "Level | float") -> float:
@@ -152,7 +151,7 @@ def expectile(d: DiscreteDistribution, tau: "Level | float") -> float:
 
     weights = d.weights
     cum_w = d.cum_weights
-    cum_aw = np.cumsum(atoms * weights)
+    cum_aw = (atoms * weights).cumsum()
     total_aw = float(cum_aw[-1])
 
     def imbalance_at_atom(k: int) -> float:

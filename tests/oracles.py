@@ -163,3 +163,31 @@ def population_minimizer_on_grid(score_fn, atoms, weights, grid):
             best = value
             best_x = x
     return best_x
+
+
+def merge_by_unique(atoms, weights):
+    """(atoms, weights, cumulative weights) of a law, merged by ``np.unique``:
+    equal weights by integer counts over n, other weights summed by
+    ``np.bincount``, with the cumulative weights as the split prefix sum of
+    w * 2^53 in whole parts and remainders. A law must equal this bit for bit."""
+    atoms = np.asarray(atoms, dtype=float).ravel()
+    weights = np.asarray(weights, dtype=float).ravel()
+    if (weights == weights[0]).all():
+        n = atoms.size
+        merged_atoms, counts = np.unique(atoms, return_counts=True)
+        return merged_atoms, counts / n, np.cumsum(counts) / n
+    merged_atoms, inverse = np.unique(atoms, return_inverse=True)
+    merged_weights = np.bincount(inverse, weights=weights)
+    scaled = merged_weights * 2.0**53
+    whole = np.rint(scaled)
+    cum = (np.cumsum(whole) + np.cumsum(scaled - whole)) / 2.0**53
+    cum[-1] = 1.0
+    return merged_atoms, merged_weights, cum
+
+
+def es_by_clipped_segments(atoms, cum, alpha):
+    """Expected shortfall as the dot product of the atoms with the segments
+    cum_k - max(cum_{k-1}, alpha) clipped at zero."""
+    lower = np.maximum(np.concatenate(([0.0], cum[:-1])), alpha)
+    seg = np.clip(cum - lower, 0.0, None)
+    return float(np.dot(atoms, seg)) / (1.0 - alpha)

@@ -1,6 +1,8 @@
 """Tests for violation backtests, the multi-quantile ES backtest, PIT tests,
 and the coherence counterexample searches."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -404,8 +406,6 @@ class TestVarSuperadditivitySearch:
         assert np.allclose(law.weights, [0.9216, 0.0768, 0.0016], atol=1e-12)
 
     def test_es_never_superadditive_on_searched_grid(self):
-        import itertools
-
         for p1, p2 in itertools.product((0.01, 0.02, 0.04, 0.05, 0.08), repeat=2):
             rows = np.array([[0.0, 0.0], [0.0, 10.0], [10.0, 0.0], [10.0, 10.0]])
             w = np.array([(1 - p1) * (1 - p2), (1 - p1) * p2, p1 * (1 - p2), p1 * p2])
@@ -444,3 +444,21 @@ def test_enumerate_joint_panels_counts():
     assert len(panels) == 45
     for p in panels:
         assert abs(p.weights.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("total, parts", [(0, 1), (4, 1), (0, 3), (5, 3), (2, 9), (3, 4)])
+def test_compositions_list_every_split_once_in_order(total, parts):
+    from tailrisk.backtest import _compositions
+
+    got = [tuple(counts.tolist()) for counts in _compositions(total, parts)]
+    want = [c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total]
+    assert got == want  # product order is lexicographic
+
+
+def test_positive_splits_are_shifted_compositions():
+    # the expectile search's factor weights: every split of 8 into 3 positive parts
+    from tailrisk.backtest import _compositions
+
+    got = [tuple((counts + 1).tolist()) for counts in _compositions(8 - 3, 3)]
+    want = [c for c in itertools.product(range(1, 9), repeat=3) if sum(c) == 8]
+    assert got == want

@@ -67,6 +67,39 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DiscreteDistribution([1.0, np.inf], [0.5, 0.5])
 
+    NAN, INF = float("nan"), float("inf")
+    FINITE = (ValueError, "atoms and weights must be finite")
+    POSITIVE = (ValueError, "all weights must be strictly positive")
+
+    @pytest.mark.parametrize(
+        "atoms, weights, error",
+        [
+            ([0.0, NAN], [0.5, 0.5], FINITE),
+            ([NAN, 1.0, 2.0], [0.25, 0.5, 0.25], FINITE),
+            ([INF, 0.0], [0.5, 0.5], FINITE),
+            ([-INF, 0.0], [0.25, 0.75], FINITE),
+            ([0.0, 1.0], [INF, 0.5], FINITE),
+            ([0.0, 1.0], [-INF, 0.5], FINITE),
+            ([0.0, 1.0], [NAN, 0.5], FINITE),
+            ([0.0, 1.0], [NAN, NAN], FINITE),
+            ([NAN, 1.0], [0.0, 1.0], FINITE),  # finiteness is checked first
+            ([0.0, 1.0], [0.0, 1.0], POSITIVE),
+            ([0.0, 1.0], [0.0, 0.0], POSITIVE),
+            ([0.0, 1.0], [-0.5, 1.5], POSITIVE),
+            ([], [], (EmptySampleError, "a distribution needs at least one atom")),
+            ([], [1.0], (EmptySampleError, "a distribution needs at least one atom")),
+            ([0.0, 1.0], [1.0], (ShapeMismatchError, "2 atoms but 1 weights")),
+            ([0.0], [], (ShapeMismatchError, "1 atoms but 0 weights")),
+            ([0.0, 1.0], [0.5, 0.6], (ValueError, "weights must sum to 1 within 1e-12, got 1.1")),
+            ([0.0, 1.0], [0.4, 0.4], (ValueError, "weights must sum to 1 within 1e-12, got 0.8")),
+        ],
+    )
+    def test_rejection_type_and_message(self, atoms, weights, error):
+        kind, message = error
+        with pytest.raises(kind) as caught:
+            DiscreteDistribution(np.array(atoms), np.array(weights))
+        assert type(caught.value) is kind and str(caught.value) == message
+
     def test_arrays_are_read_only(self):
         d = uniform_1_to_100()
         with pytest.raises(ValueError):

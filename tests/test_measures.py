@@ -21,6 +21,7 @@ from tailrisk import (
     variance,
     wasserstein1,
 )
+from tailrisk.distribution import LevelKind, level_value
 import oracles
 
 
@@ -70,6 +71,29 @@ class TestExpectedShortfall:
             got = expected_shortfall(d, a)
             want = oracles.es_tail_form(d.atoms, d.weights, a)
             assert got == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("alpha", [k / 8 for k in range(1, 8)] + [0.7, 0.8, 0.95])
+    def test_equals_clipped_segments_on_eighths(self, alpha):
+        # alpha = k/8 sits exactly on a cumulative weight of both laws
+        for law in (
+            DiscreteDistribution.from_sample([3.0, -1.0, 2.0, 2.0, 0.5, 7.0, -4.0, 1.0]),
+            DiscreteDistribution([-2.0, 0.0, 1.0, 5.0], [0.125, 0.375, 0.25, 0.25]),
+        ):
+            want = oracles.es_by_clipped_segments(law.atoms, law.cum_weights, alpha)
+            assert expected_shortfall(law, alpha) == want
+
+    def test_equals_clipped_segments_at_every_boundary(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            atoms = rng.integers(-5, 6, int(rng.integers(1, 30))).astype(float)
+            law = DiscreteDistribution.from_sample(atoms)
+            if rng.random() < 0.5:
+                raw = rng.uniform(0.01, 1.0, atoms.size)
+                law = DiscreteDistribution(atoms, raw / raw.sum())
+            cum = law.cum_weights
+            for alpha in [*cum[:-1], *rng.uniform(0.01, 0.99, 3)]:
+                want = oracles.es_by_clipped_segments(law.atoms, cum, float(alpha))
+                assert expected_shortfall(law, float(alpha)) == want
 
     def test_es_dominates_var(self):
         rng = np.random.default_rng(37)
@@ -128,6 +152,36 @@ class TestExpectile:
     def test_rejects_quantile_level(self):
         with pytest.raises(ValueError):
             expectile(uniform_1_to_100(), Level.quantile(0.8))
+
+
+class TestLevelValue:
+    @pytest.mark.parametrize(
+        "level, shown",
+        [(0, "0.0"), (1, "1.0"), (float("nan"), "nan"), (1.5, "1.5"), (np.float64(-0.25), "-0.25")],
+    )
+    def test_plain_number_outside_the_interval(self, level, shown):
+        with pytest.raises(ValueError) as caught:
+            level_value(level, LevelKind.QUANTILE)
+        assert str(caught.value) == f"level must lie strictly inside (0, 1), got {shown}"
+
+    def test_plain_number_inside_is_its_float(self):
+        got = level_value(np.float64(0.9), LevelKind.EXPECTILE)
+        assert type(got) is float and got == 0.9
+
+    def test_level_passes_its_value(self):
+        assert level_value(Level.expectile(0.3), LevelKind.EXPECTILE) == 0.3
+
+    @pytest.mark.parametrize(
+        "level, kind, message",
+        [
+            (Level.expectile(0.9), LevelKind.QUANTILE, "expected a quantile level, got an expectile level"),
+            (Level.quantile(0.9), LevelKind.EXPECTILE, "expected an expectile level, got a quantile level"),
+        ],
+    )
+    def test_level_of_the_wrong_kind(self, level, kind, message):
+        with pytest.raises(ValueError) as caught:
+            level_value(level, kind)
+        assert str(caught.value) == message
 
 
 class TestMomentMeasures:

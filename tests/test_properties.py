@@ -1,12 +1,13 @@
 """Property tests over random laws and panels, with equal and unequal weights:
-VaR and ES against the scan and tail-form oracles, and full ES allocation;
-and panel files that parse back to exactly the numbers written."""
+construction against the ``np.unique`` merge, VaR and ES against the scan and
+tail-form oracles, and full ES allocation; and panel files that parse back to
+exactly the numbers written."""
 
 import math
 from collections import Counter
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailrisk import DiscreteDistribution, LossPanel, es_contributions, expected_shortfall, value_at_risk
@@ -71,6 +72,45 @@ def panels(draw):
     law = panel.portfolio_law()
     alpha = draw(levels(law.cum_weights.tolist()))
     return (panel, *oracle_law(panel.portfolio_losses().tolist(), law, equal), alpha)
+
+
+@st.composite
+def merge_inputs(draw):
+    """(atoms, weights): signed zeros among the atoms, sometimes one atom
+    repeated nine or more times, and equal or unequal weights."""
+    sample = draw(st.lists(st.one_of(values, st.sampled_from([0.0, -0.0])), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        sample = draw(st.permutations(sample + [draw(values)] * draw(st.integers(9, 20))))
+    n = len(sample)
+    if draw(st.booleans()):
+        return np.array(sample), np.full(n, 1.0 / n)
+    raw = draw(st.lists(raw_weights, min_size=n, max_size=n))
+    return np.array(sample), np.asarray(raw) / math.fsum(raw)
+
+
+def _bits(array):
+    return array.dtype, array.shape, array.tobytes()
+
+
+# the sorts may order 0.0 and -0.0 either way, so one run of 32 mixed zeros
+SIGNED_ZEROS = np.where(np.arange(32) % 3 == 1, -0.0, 0.0)
+
+
+# n = 1; signed zeros, few and many; one atom nine times with unequal weights
+@example((np.array([2.5]), np.array([1.0])))
+@example((np.array([0.0, -0.0, 1.0, -0.0]), np.full(4, 0.25)))
+@example((np.array([-0.0, 0.0, 0.0, 1.0]), np.array([0.125, 0.5, 0.25, 0.125])))
+@example((SIGNED_ZEROS, np.full(32, 1 / 32)))
+@example((SIGNED_ZEROS, np.arange(1.0, 33.0) / 528.0))
+@example((np.full(9, 3.0), np.arange(1.0, 10.0) / 45.0))
+@settings(PROPERTY, max_examples=300)
+@given(merge_inputs())
+def test_construction_equals_unique_merge(case):
+    atoms, weights = case
+    law = DiscreteDistribution(atoms, weights)
+    want = oracles.merge_by_unique(atoms, weights)
+    got = (law.atoms, law.weights, law.cum_weights)
+    assert [_bits(a) for a in got] == [_bits(a) for a in want]
 
 
 def _es_bound(atoms, alpha):
