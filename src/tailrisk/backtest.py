@@ -461,6 +461,8 @@ def find_expectile_comonotone_counterexample(
     t = level_value(tau, LevelKind.EXPECTILE)
     if not 0.5 < t < 1.0:
         raise ValueError(f"the search targets tau in (1/2, 1), got {t}")
+    if weight_denominator < 2:
+        raise ValueError(f"weight_denominator must be at least 2, got {weight_denominator}")
     atoms = np.asarray(factor_atoms, dtype=float)
     maps = list(itertools.combinations_with_replacement(sorted(map_values), atoms.size))
     # a positive split of d into k parts is a non-negative split of d - k, plus one each

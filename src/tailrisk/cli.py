@@ -40,6 +40,7 @@ from .backtest import (
     unconditional_coverage_test,
     violation_process,
 )
+from .distribution import _check_level
 from .errors import (
     CounterexampleNotFoundError,
     ParseError,
@@ -56,16 +57,9 @@ from .scoring import (
 
 SEED_ENV_VAR = "TAILRISK_SEED"
 
-# each choice names a MeasureKind / ScoringFunction classmethod (with '-' as
-# '_'); the tables give the RunConfig field passed to those that take one
+# each choice is a name that MeasureKind.named / ScoringFunction.named takes
 _MEASURE_CHOICES = tuple(family.value for family in MeasureFamily)
 _SCORE_CHOICES = tuple(kind.value for kind in ScoreKind)
-_MEASURE_ARGS = {"var": "level", "es": "level", "expectile": "level"}
-_SCORE_ARGS = {
-    "weighted-absolute-error": "level",
-    "weighted-squared-error": "level",
-    "tail-mean": "threshold",
-}
 
 
 @dataclass
@@ -86,36 +80,24 @@ class RunConfig:
     weight_denominator: int = 8
 
     def validate(self) -> None:
-        if self.level is not None and not 0.0 < self.level < 1.0:
-            raise ValueError(f"--level must lie in (0, 1), got {self.level}")
+        """Check what no command checks before it reads its input. (Each
+        command builds its measure or score first, which checks the flags
+        that measure or score takes.)"""
+        if self.level is not None:
+            _check_level(self.level)
         if not 0.0 < self.significance <= 0.5:
             raise ValueError(f"--significance must lie in (0, 0.5], got {self.significance}")
         if self.bins < 2:
             raise ValueError(f"--bins must be at least 2, got {self.bins}")
         if self.max_lag < 1:
             raise ValueError(f"--max-lag must be at least 1, got {self.max_lag}")
-        if self.weight_denominator < 2:
-            raise ValueError("--weight-denominator must be at least 2")
-        if self.kind in _MEASURE_ARGS and self.level is None:
-            raise ValueError(f"--kind {self.kind} requires --level")
         for flag in _COMMANDS[self.command].required:
             if getattr(self, flag) is None:
                 raise ValueError(f"--{flag} is required for this command")
-        if self.command == "elicit":
-            if not self.two_step and self.score is None:
-                raise ValueError("--score is required (or use --two-step)")
-            field = "level" if self.two_step else _SCORE_ARGS.get(self.score)
-            if field is not None and getattr(self, field) is None:
-                flag = "--two-step" if self.two_step else f"--score {self.score}"
-                raise ValueError(f"{flag} requires --{field}")
-
-
-def _construct(cls, name: str, args: dict[str, str], config: RunConfig):
-    """Call the classmethod of ``cls`` that ``name`` names, passing the
-    config field it takes, if any."""
-    make = getattr(cls, name.replace("-", "_"))
-    field = args.get(name)
-    return make() if field is None else make(getattr(config, field))
+        if self.command == "elicit" and not self.two_step and self.score is None:
+            raise ValueError("--score is required (or use --two-step)")
+        if self.two_step and self.level is None:
+            raise ValueError("--two-step requires --level")
 
 
 @contextmanager
@@ -314,11 +296,13 @@ def parse_forecasts_csv(path: str | Path) -> ForecastColumns:
         numbers = ["realized", "var_forecast", "es_forecast", *quantile_columns]
         cells_of = {c: [] for c in numbers if c in header}
         periods, scenario_sets = [], []
-        # a blank line is an error, as in a panel; a short record ends in blank cells
+        # a blank line or a record longer than the header is an error, as in a
+        # panel; a short record ends in blank cells
         for row in reader:
             row_idx = reader.line_num
-            if not row:
-                raise ParseError("blank line", row=row_idx)
+            if not row or len(row) > len(header):
+                problem = f"expected {len(header)} cells, found {len(row)}" if row else "blank line"
+                raise ParseError(problem, row=row_idx)
             cells = {c: cell.strip() for c, cell in zip(header, row + [""] * len(header))}
             try:
                 periods.append(int(cells["period"]))
@@ -363,18 +347,6 @@ def parse_forecasts_csv(path: str | Path) -> ForecastColumns:
     )
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def _test_result_entry(result: TestResult) -> dict:
     return {
         "method": result.method,
@@ -387,8 +359,8 @@ def _test_result_entry(result: TestResult) -> dict:
 
 def _run_measure(config: RunConfig, warnings: list[str]) -> dict:
     """evaluate a risk measure on a loss panel"""
+    kind = MeasureKind.named(config.kind, config.level)
     panel = parse_panel_csv(config.input)
-    kind = _construct(MeasureKind, config.kind, _MEASURE_ARGS, config)
     positions = {
         name: evaluate(panel.column_law(i), kind)
         for i, name in enumerate(panel.positions)
@@ -400,18 +372,14 @@ def _run_measure(config: RunConfig, warnings: list[str]) -> dict:
     }
 
 
-# allocate's --kind choices; each calls its function by its module-level name,
-# so a wrapper bound over that name (as bench/tracing.py installs) sees it
-_ALLOCATORS = {
-    "es": lambda panel, level: es_contributions(panel, level),
-    "expectile": lambda panel, level: expectile_contributions(panel, level),
-}
-
-
 def _run_allocate(config: RunConfig, warnings: list[str]) -> dict:
     """Euler risk contributions per position"""
+    kind = MeasureKind.named(config.kind, config.level)
     panel = parse_panel_csv(config.input)
-    allocation = _ALLOCATORS[config.kind](panel, config.level)
+    if kind.family is MeasureFamily.EXPECTED_SHORTFALL:
+        allocation = es_contributions(panel, kind.level)
+    else:
+        allocation = expectile_contributions(panel, kind.level)
     if allocation.nonunique_gradient:
         warnings.append(
             "portfolio law has mass exactly on the threshold; the gradient is not "
@@ -428,8 +396,8 @@ def _run_allocate(config: RunConfig, warnings: list[str]) -> dict:
 
 def _run_diversify(config: RunConfig, warnings: list[str]) -> dict:
     """diversification index and benefit"""
+    kind = MeasureKind.named(config.kind, config.level)
     panel = parse_panel_csv(config.input)
-    kind = _construct(MeasureKind, config.kind, _MEASURE_ARGS, config)
     found = diversify(panel, kind)
     warnings.extend(found.warnings)
     marginal = found.marginal_indices
@@ -508,14 +476,16 @@ def _run_backtest_pit(config: RunConfig, warnings: list[str]) -> dict:
 
 def _run_elicit(config: RunConfig, warnings: list[str]) -> dict:
     """score-minimizing estimate from a sample"""
+    s = None
+    if not config.two_step:
+        s = ScoringFunction.named(config.score, config.level, config.threshold)
     panel = parse_panel_csv(config.input)
     if panel.n_positions != 1:
         raise ParseError("elicit expects a single-column sample file")
     sample = panel.rows[:, 0]
-    if config.two_step:
+    if s is None:
         q_hat, es_hat = two_step_es_forecast(sample, config.level)
         return {"quantile": q_hat, "es": es_hat, "alpha": config.level}
-    s = _construct(ScoringFunction, config.score, _SCORE_ARGS, config)
     estimate = elicit(s, sample)
     return {
         "score": s.kind.value,
@@ -595,7 +565,7 @@ class _Command(NamedTuple):
 _COMMANDS = {
     "measure": _Command(_run_measure, ("kind", "level"), ("kind",)),
     "allocate": _Command(
-        _run_allocate, ("kind", "level"), ("kind", "level"), {"kind": tuple(_ALLOCATORS)}
+        _run_allocate, ("kind", "level"), ("kind", "level"), {"kind": ("es", "expectile")}
     ),
     "diversify": _Command(_run_diversify, ("kind", "level"), ("kind",)),
     "backtest-var": _Command(_run_backtest_var, ("level", "significance"), ("level",)),
@@ -616,22 +586,23 @@ def run(config: RunConfig) -> dict:
     # numpy's warning would only print a second message ahead of that error
     with np.errstate(over="ignore", invalid="ignore"):
         results = _COMMANDS[config.command].run(config, warnings)
-    return _jsonable(
-        {
-            "version": __version__,
-            "command": config.command,
-            "config": asdict(config),
-            "results": results,
-            "warnings": warnings,
-        }
-    )
+    return {
+        "version": __version__,
+        "command": config.command,
+        "config": asdict(config),
+        "results": results,
+        "warnings": warnings,
+    }
 
 
 def render_report(report: dict) -> str:
-    """Serialize a report deterministically (stable key order). JSON has no
-    number for a non-finite result, so one raises :class:`ValueError`."""
+    """Serialize a report deterministically (stable key order), a numpy value
+    as its Python value. JSON has no number for a non-finite result, so one
+    raises :class:`ValueError`."""
     try:
-        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(
+            report, indent=2, sort_keys=True, allow_nan=False, default=lambda value: value.tolist()
+        ) + "\n"
     except ValueError:
         raise ValueError("the report holds a non-finite result, which JSON cannot encode") from None
 

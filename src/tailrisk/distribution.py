@@ -172,9 +172,7 @@ class DiscreteDistribution:
     def quantile(self, u: float) -> float:
         """Left-continuous generalized inverse: the smallest atom whose
         cumulative weight reaches ``u``."""
-        if not 0.0 < u < 1.0:
-            raise ValueError(f"quantile level must lie in (0, 1), got {u}")
-        idx = int(self.cum_weights.searchsorted(u))
+        idx = int(self.cum_weights.searchsorted(_check_level(u)))
         return float(self.atoms[idx])
 
     def cdf(self, x: float) -> float:

@@ -1,5 +1,17 @@
 """Exception types raised across the package."""
 
+__all__ = [
+    "TailriskError",
+    "EmptySampleError",
+    "ShapeMismatchError",
+    "EmptyTailError",
+    "EmptyScenarioSetError",
+    "InsufficientDataError",
+    "DegenerateDenominatorError",
+    "CounterexampleNotFoundError",
+    "ParseError",
+]
+
 
 class TailriskError(Exception):
     """Base class for all errors raised by this package."""

@@ -97,6 +97,14 @@ class MeasureKind:
     def expectile(cls, tau: float) -> "MeasureKind":
         return cls(MeasureFamily.EXPECTILE, Level.expectile(tau))
 
+    @classmethod
+    def named(cls, name: str, level: float | None = None) -> "MeasureKind":
+        """The measure of the family whose value is ``name``, at ``level`` if
+        the family takes one; a family that takes none ignores ``level``."""
+        family = MeasureFamily(name)
+        wanted = _LEVEL_KIND_BY_FAMILY.get(family)
+        return cls(family, None if wanted is None or level is None else Level(float(level), wanted))
+
     @property
     def label(self) -> str:
         if self.level is None:

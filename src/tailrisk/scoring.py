@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import DiscreteDistribution, Level, LevelKind, level_value
+from .distribution import DiscreteDistribution, Level, LevelKind, _check_level, level_value
 from .errors import (
     EmptySampleError,
     EmptyTailError,
@@ -49,6 +49,14 @@ class ScoreKind(Enum):
     TAIL_MEAN = "tail-mean"
 
 
+# the parameter each score takes; the scores not listed take none
+_PARAMETER_BY_KIND = {
+    ScoreKind.WEIGHTED_ABSOLUTE_ERROR: "level",
+    ScoreKind.WEIGHTED_SQUARED_ERROR: "level",
+    ScoreKind.TAIL_MEAN: "threshold",
+}
+
+
 @dataclass(frozen=True)
 class ScoringFunction:
     """A scoring function family member.
@@ -63,20 +71,27 @@ class ScoringFunction:
     threshold: float | None = None
 
     def __post_init__(self) -> None:
-        needs_level = self.kind in (
-            ScoreKind.WEIGHTED_SQUARED_ERROR,
-            ScoreKind.WEIGHTED_ABSOLUTE_ERROR,
-        )
-        if needs_level:
-            if self.level is None or not 0.0 < self.level < 1.0:
-                raise ValueError(f"{self.kind.value} requires a level in (0, 1)")
-        elif self.level is not None:
-            raise ValueError(f"{self.kind.value} takes no level")
-        if self.kind is ScoreKind.TAIL_MEAN:
-            if self.threshold is None or not math.isfinite(self.threshold):
-                raise ValueError("tail-mean score requires a finite threshold")
-        elif self.threshold is not None:
-            raise ValueError(f"{self.kind.value} takes no threshold")
+        takes = _PARAMETER_BY_KIND.get(self.kind)
+        for name in ("level", "threshold"):
+            if name != takes:
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{self.kind.value} takes no {name}")
+            elif getattr(self, name) is None:
+                raise ValueError(f"{self.kind.value} requires a {name}")
+        if takes == "level":
+            _check_level(self.level)
+        elif takes == "threshold" and not math.isfinite(self.threshold):
+            raise ValueError(f"{self.kind.value} requires a finite threshold")
+
+    @classmethod
+    def named(
+        cls, name: str, level: float | None = None, threshold: float | None = None
+    ) -> "ScoringFunction":
+        """The score of the kind whose value is ``name``, given the parameter
+        that kind takes; a parameter it does not take is ignored."""
+        kind = ScoreKind(name)
+        given = {"level": level, "threshold": threshold}
+        return cls(kind, **{p: v for p, v in given.items() if p == _PARAMETER_BY_KIND.get(kind)})
 
     @classmethod
     def squared_error(cls) -> "ScoringFunction":
@@ -134,8 +149,9 @@ def score(s: ScoringFunction, forecast, observation):
     return out
 
 
-def mean_score(s: ScoringFunction, forecast: float, sample: Sequence[float]) -> float:
-    """Empirical mean score of a constant forecast against a sample."""
+def mean_score(s: ScoringFunction, forecast: float | np.ndarray, sample: Sequence[float]) -> float:
+    """Empirical mean score of a forecast against a sample: a constant
+    forecast, or an array of one forecast per sample value."""
     values = np.asarray(sample, dtype=float).ravel()
     if values.size == 0:
         raise EmptySampleError("cannot score against an empty sample")
@@ -215,8 +231,7 @@ def compare_forecasts(
         )
     if ys.size == 0:
         raise EmptySampleError("cannot compare forecasts on an empty series")
-    ma = math.fsum(np.asarray(score(s, fa, ys)).tolist()) / ys.size
-    mb = math.fsum(np.asarray(score(s, fb, ys)).tolist()) / ys.size
+    ma, mb = mean_score(s, fa, ys), mean_score(s, fb, ys)
     if ma < mb:
         winner = Winner.A
     elif mb < ma:

@@ -389,6 +389,15 @@ class TestExpectileComonotoneSearch:
                 0.8, factor_atoms=(0.0,), map_values=(0.0, 1.0), weight_denominator=2
             )
 
+    # below 2 the search would divide by zero or search only point masses
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("denominator", [0, -3])
+    def test_weight_denominator_below_two_is_rejected(self, denominator):
+        with pytest.raises(ValueError, match="weight_denominator must be at least 2"):
+            find_expectile_comonotone_counterexample(
+                0.8, factor_atoms=(0.0,), map_values=(0.0, 1.0), weight_denominator=denominator
+            )
+
 
 class TestVarSuperadditivitySearch:
     def test_default_grid_succeeds(self):

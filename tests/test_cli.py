@@ -517,6 +517,35 @@ class TestCounterexampleCommand:
         assert report["results"]["portfolio_var"] > sum(report["results"]["position_vars"])
 
 
+class TestRenderReport:
+    def test_numpy_values_render_as_their_python_values(self, monkeypatch):
+        values = {
+            "int": np.int64(3),
+            "flags": np.array([True, False]),
+            "matrix": np.array([[1.0, 2.5], [3.0, -4.0]]),
+            "pair": (np.float64(0.1), np.float64(2.0)),
+        }
+        command = cli._COMMANDS["measure"]._replace(run=lambda config, warnings: values)
+        monkeypatch.setitem(cli._COMMANDS, "measure", command)
+        text = cli.render_report(cli.run(cli.RunConfig("measure", "panel.csv", kind="mean")))
+        results = text[text.index('  "results"'):text.index('  "version"')]
+        assert results == (
+            '  "results": {\n'
+            '    "flags": [\n      true,\n      false\n    ],\n'
+            '    "int": 3,\n'
+            '    "matrix": [\n'
+            '      [\n        1.0,\n        2.5\n      ],\n'
+            '      [\n        3.0,\n        -4.0\n      ]\n'
+            '    ],\n'
+            '    "pair": [\n      0.1,\n      2.0\n    ]\n'
+            '  },\n'
+        )
+
+    def test_numpy_scalars_render_without_conversion(self):
+        report = {"count": np.int64(2), "flag": np.bool_(True), "value": np.float64(0.1)}
+        assert cli.render_report(report) == '{\n  "count": 2,\n  "flag": true,\n  "value": 0.1\n}\n'
+
+
 VAR = ["backtest-var", "--level", "0.9"]
 PIT = ["backtest-pit"]
 
@@ -608,6 +637,13 @@ class TestCliContract:
         path = write(tmp_path / "f.csv", "period,realized,var_forecast\n1,0.5,1.0\n\n3,x,1.0\n")
         assert main(VAR + ["--input", path]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["message"] == "blank line (row 3)"
+
+    def test_long_forecast_row_exits_two(self, tmp_path, capsys):
+        # the extra cell has no column to go to
+        path = write(tmp_path / "f.csv", "period,realized,var_forecast\n1,0.5,1.0,99\n")
+        assert main(VAR + ["--input", path]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ParseError", "message": "expected 3 cells, found 4 (row 2)"}
 
     def test_internal_fault_exits_three(self, uniform_panel, monkeypatch, capsys):
         def fault(config):

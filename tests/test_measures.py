@@ -306,6 +306,32 @@ class TestMeasureKind:
         with pytest.raises(ValueError):
             MeasureKind(family=MeasureKind.mean().family, level=Level.quantile(0.9))
 
+    @pytest.mark.parametrize(
+        "name, level, want",
+        [
+            ("mean", None, MeasureKind.mean()),
+            ("variance", 0.9, MeasureKind.variance()),
+            ("var", 0.95, MeasureKind.var(0.95)),
+            ("es", 0.975, MeasureKind.es(0.975)),
+            ("expectile", 0.9, MeasureKind.expectile(0.9)),
+        ],
+    )
+    def test_named_builds_the_family_at_the_level_it_takes(self, name, level, want):
+        assert MeasureKind.named(name, level) == want
+
+    @pytest.mark.parametrize(
+        "name, level, message",
+        [
+            ("var", None, "var requires a level"),
+            ("es", 1.5, "level must lie strictly inside (0, 1), got 1.5"),
+            ("cvar", 0.9, "'cvar' is not a valid MeasureFamily"),
+        ],
+    )
+    def test_named_rejects(self, name, level, message):
+        with pytest.raises(ValueError) as caught:
+            MeasureKind.named(name, level)
+        assert str(caught.value) == message
+
     def test_labels(self):
         assert MeasureKind.es(0.95).label == "es@0.95"
         assert MeasureKind.variance().label == "variance"

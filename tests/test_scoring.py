@@ -64,6 +64,33 @@ class TestScoreValues:
         with pytest.raises(ValueError):
             ScoringFunction.tail_mean(float("nan"))
 
+    @pytest.mark.parametrize(
+        "name, level, threshold, want",
+        [
+            ("squared-error", 0.9, 1.0, ScoringFunction.squared_error()),
+            ("absolute-error", None, None, ScoringFunction.absolute_error()),
+            ("weighted-absolute-error", 0.95, 1.0, ScoringFunction.weighted_absolute_error(0.95)),
+            ("weighted-squared-error", 0.9, None, ScoringFunction.weighted_squared_error(0.9)),
+            ("tail-mean", 0.9, -0.25, ScoringFunction.tail_mean(-0.25)),
+        ],
+    )
+    def test_named_takes_the_parameter_of_its_kind(self, name, level, threshold, want):
+        assert ScoringFunction.named(name, level, threshold) == want
+
+    @pytest.mark.parametrize(
+        "name, level, threshold, message",
+        [
+            ("weighted-squared-error", None, 1.0, "weighted-squared-error requires a level"),
+            ("weighted-absolute-error", 1.2, None, "level must lie strictly inside (0, 1), got 1.2"),
+            ("tail-mean", 0.9, None, "tail-mean requires a threshold"),
+            ("tail-mean", None, float("inf"), "tail-mean requires a finite threshold"),
+        ],
+    )
+    def test_named_rejects(self, name, level, threshold, message):
+        with pytest.raises(ValueError) as caught:
+            ScoringFunction.named(name, level, threshold)
+        assert str(caught.value) == message
+
 
 class TestElicit:
     def test_squared_recovers_sample_mean(self):
