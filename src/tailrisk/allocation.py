@@ -191,11 +191,16 @@ def expectile_contributions(panel: LossPanel, tau: "Level | float") -> Allocatio
     )
 
 
+def _check_expectile_tau(t: float) -> None:
+    """Expectile contributions need tau >= 1/2, the coherent range."""
+    if t < 0.5:
+        raise ValueError(f"expectile contributions require tau >= 1/2, got {t}")
+
+
 def _expectile_contributions(
     panel: LossPanel, t: float, law: DiscreteDistribution
 ) -> AllocationResult:
-    if t < 0.5:
-        raise ValueError(f"expectile contributions require tau >= 1/2, got {t}")
+    _check_expectile_tau(t)
     portfolio = panel.portfolio_losses()
     e = expectile(law, t)
     above = portfolio > e

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .allocation import LossPanel, diversify, es_contributions, expectile_contributions
+from .allocation import _check_expectile_tau
 from .backtest import (
     TestResult,
     es_quantile_backtest,
@@ -85,6 +86,8 @@ class RunConfig:
         that measure or score takes.)"""
         if self.level is not None:
             _check_level(self.level)
+            if self.kind == "expectile" and self.command in ("allocate", "diversify"):
+                _check_expectile_tau(self.level)
         if not 0.0 < self.significance <= 0.5:
             raise ValueError(f"--significance must lie in (0, 0.5], got {self.significance}")
         if self.bins < 2:

@@ -2,11 +2,13 @@
 
 Everything here works on raw atom/weight arrays or samples with naive
 algorithms (linear scans, ternary search, area integrals, and for samples of
-up to 10^6 values a plain sort with exact integer counts) so that it shares
-no code path with the package implementations it checks.
+up to 10^6 values a plain sort with exact integer counts), and computes the
+binomial and chi-square tails by exact integer and decimal sums, so that it
+shares no code path with the package implementations it checks.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -191,3 +193,68 @@ def es_by_clipped_segments(atoms, cum, alpha):
     lower = np.maximum(np.concatenate(([0.0], cum[:-1])), alpha)
     seg = np.clip(cum - lower, 0.0, None)
     return float(np.dot(atoms, seg)) / (1.0 - alpha)
+
+
+def binomial_tails_exact(k, n, p):
+    """P[X <= k] and P[X >= k] for X ~ Binomial(n, p): with p = a/d, the
+    integers C(n, i) a^i (d - a)^(n - i) summed exactly, then divided by d^n
+    with one rounding."""
+    a, d = p.as_integer_ratio()
+    b = d - a
+    term, lower = b**n, 0
+    for i in range(k + 1):
+        if i:
+            term = term * (n - i + 1) * a // (i * b)
+        lower += term
+    total = d**n
+    return lower / total, (total - lower + term) / total
+
+
+def _pi_decimal(eps):
+    """pi by Machin's formula, 16 atan(1/5) - 4 atan(1/239), to within eps."""
+    def atan_inv(m):
+        x = Decimal(1) / m
+        term, total, j = x, x, 1
+        while abs(term) > eps:
+            term *= -x * x
+            j += 2
+            total += term / j
+        return total
+
+    return 16 * atan_inv(5) - 4 * atan_inv(239)
+
+
+def chi2_sf_decimal(x, df, digits=40):
+    """P[chi2_df > x] for integer df >= 1, summed in decimal arithmetic. With
+    l = x/2 it is e^-l sum_{j < df/2} l^j / j! for even df; for odd df it is
+    erfc(sqrt l) + e^-l sum_{j=1}^{(df-1)/2} l^(j-1/2) / Gamma(j + 1/2), where
+    erfc is 1 - erf and erf the series of positive terms
+    (2/sqrt(pi)) e^-l sum_n (2l)^n sqrt(l) / (2n + 1)!!."""
+    with localcontext() as ctx:
+        lam = Decimal(x) / 2
+        erfc_needed = df % 2 == 1 and lam < 800  # past it erfc(sqrt l) < 1e-340
+        # 1 - erf cancels about l / ln(10) digits
+        ctx.prec = digits + (int(lam / 2) if erfc_needed else 0)
+        eps = Decimal(10) ** -ctx.prec
+        e = (-lam).exp()
+        if df % 2 == 0:
+            term = total = e
+            for j in range(1, df // 2):
+                term = term * lam / j
+                total += term
+            return float(total)
+        sqrt_pi = _pi_decimal(eps).sqrt()
+        total = Decimal(0)
+        if erfc_needed:
+            term = series = lam.sqrt()
+            n = 0
+            while term > series * eps:
+                n += 1
+                term = term * 2 * lam / (2 * n + 1)
+                series += term
+            total = 1 - 2 * e * series / sqrt_pi
+        term = 2 * lam.sqrt() * e / sqrt_pi  # l^(1/2) e^-l / Gamma(3/2)
+        for j in range(1, (df - 1) // 2 + 1):
+            total += term
+            term = term * lam / (j + Decimal("0.5"))
+        return float(total)

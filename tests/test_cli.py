@@ -664,6 +664,16 @@ class TestCliContract:
             main(["--version"])
         assert info.value.code == 0
 
+    @pytest.mark.parametrize("command", ["allocate", "diversify"])
+    def test_expectile_contribution_level_is_checked_before_the_input(self, tmp_path, capsys, command):
+        argv = [command, "--input", str(tmp_path / "nope.csv"), "--kind", "expectile", "--level", "0.3"]
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {
+            "type": "ValueError",
+            "message": "expectile contributions require tau >= 1/2, got 0.3",
+        }
+
     def test_missing_input_exits_two(self, tmp_path):
         assert main(
             ["measure", "--input", str(tmp_path / "nope.csv"), "--kind", "mean"]

@@ -1,9 +1,10 @@
-"""Import contract: scipy is loaded only by the statistical tests that need it,
-and the panel commands load nothing past ``import tailrisk.cli``.
+"""Import contract: no command loads scipy, and the panel commands load
+nothing past ``import tailrisk.cli``.
 
-A cold CLI command pays for every module it imports, so commands that make no
-coverage, independence or PIT test must not load scipy. Each check runs in a
-fresh interpreter, since this process has loaded scipy through other tests.
+A cold CLI command pays for every module it imports, and the package computes
+its own binomial and chi-square tails, so scipy is a test dependency only.
+Each check runs in a fresh interpreter, since this process has loaded scipy
+through other tests.
 """
 
 import json
@@ -51,7 +52,24 @@ for argv in commands:
 """
 
 
-def run_cold(commands: list[list[str]], child: str = CHILD) -> list:
+# with scipy made unimportable, runs each golden case of argv[1] (name: argv)
+# from the fixture directory and prints whether its report matches the stored
+# bytes
+NO_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # an import of scipy now raises ImportError
+from tailrisk import cli
+
+for name, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    with open(f"reports/{name}.json", "rb") as stored:
+        print(json.dumps([name, code, out.getvalue().encode() == stored.read()]))
+"""
+
+
+def run_cold(commands: list[list[str]] | dict, child: str = CHILD) -> list:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("TAILRISK_SEED", None)
     done = subprocess.run(
@@ -61,19 +79,23 @@ def run_cold(commands: list[list[str]], child: str = CHILD) -> list:
     return [json.loads(line) for line in done.stdout.splitlines()]
 
 
-def test_scipy_is_loaded_only_by_the_backtests():
-    light = [argv for argv in CASES.values() if not argv[0].startswith("backtest")]
-    assert {argv[0] for argv in light} == {
-        "measure", "allocate", "diversify", "elicit", "counterexample"
+def test_no_command_loads_scipy():
+    assert len(CASES) == 21
+    assert {argv[0] for argv in CASES.values()} == {
+        "measure", "allocate", "diversify", "backtest-var", "backtest-es", "backtest-pit",
+        "elicit", "counterexample",
     }
-    after_import, *after_light, after_backtest = run_cold(light + [CASES["backtest-var"]])
+    after_import, *after_cases = run_cold(list(CASES.values()))
     assert after_import == []
-    for argv, (code, loaded) in zip(light, after_light):
+    assert len(after_cases) == len(CASES)
+    for argv, (code, loaded) in zip(CASES.values(), after_cases):
         assert code == 0, argv
         assert loaded == [], argv
-    code, loaded = after_backtest
-    assert code == 0
-    assert "scipy.stats" in loaded
+
+
+def test_every_golden_report_renders_without_scipy():
+    rendered = run_cold(CASES, NO_SCIPY)
+    assert rendered == [[name, 0, True] for name in CASES]
 
 
 def test_panel_commands_load_no_module_past_the_import():
