@@ -21,6 +21,7 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -142,24 +143,18 @@ def _finite_floats(cells: Sequence[str], locate: Callable[[int], tuple]) -> list
     return values
 
 
-def _check_unique(header: list[str]) -> None:
-    """A repeated column name would hide one column's data behind another's."""
-    seen = set()
-    for name in header:
-        if name in seen:
-            raise ParseError("repeated column name in header", row=1, column=name)
-        seen.add(name)
-
-
-def _bulk_floats(lines: Iterator[str], width: int) -> np.ndarray | None:
-    """The rest of ``lines`` as a T x ``width`` matrix, in one C-level pass.
+def _bulk_floats(lines: Iterator[str], columns: dict[str, type]) -> np.ndarray | None:
+    """The rest of ``lines`` as T records with one field per entry of
+    ``columns``, in one C-level pass. A field's type says how its cells are
+    read: ``float`` cells must be finite numbers, ``np.int64`` cells integers,
+    and ``object`` cells are kept as text.
 
     ``None`` when only the row loop can say what the lines hold: the pass
     fails, meets a value that is not finite or a row of another width, or
     comes to a line it cannot judge. That is a blank line, which
     ``np.loadtxt`` would skip, or one long enough to hold a cell over the csv
-    field size limit. The pass accepts a subset of what ``float()`` accepts
-    and gives the same bits.
+    field size limit. The pass accepts a subset of what ``float()`` and
+    ``int()`` accept and gives the same values.
     """
     judged = re.compile(rf"(?=\s*\S).{{0,{csv.field_size_limit()}}}", re.DOTALL).fullmatch
     source = itertools.chain(lines, ("",))  # ends in a blank line, so takewhile stops
@@ -170,41 +165,66 @@ def _bulk_floats(lines: Iterator[str], width: int) -> np.ndarray | None:
     try:
         rows = np.loadtxt(
             itertools.chain((first,), trusted),
-            delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float,
+            delimiter=",", comments=None, quotechar='"', ndmin=1, dtype=list(columns.items()),
         )
     except ValueError:
         return None
     if next(source, None) is not None:  # takewhile stopped before the end
         return None
-    if rows.shape[1] != width or not np.isfinite(rows).all():
+    if not all(np.isfinite(rows[name]).all() for name, kind in columns.items() if kind is float):
         return None
+    return rows
+
+
+def _read_table(path: Path, bulk: bool, columns: Callable, row_loop: Callable) -> tuple:
+    """The header and the data rows of a panel or forecast file.
+
+    The header's names are stripped; a blank one would drop its column unread
+    and a repeated one hide a column behind another. ``columns(names)`` checks
+    what else the file's kind asks of them and gives each column's cell type.
+    With ``bulk`` the rows come from :func:`_bulk_floats` and are ``None``
+    where it cannot be trusted; without it, from ``row_loop(reader, names)``,
+    which defines what they may hold.
+    """
+    with _open_csv(path) as (handle, reader):
+        names = [name.strip() for name in next(reader, [])]
+        seen = set()
+        for name in names:
+            if not name:
+                raise ParseError("blank column name in header", row=1)
+            if name in seen:
+                raise ParseError("repeated column name in header", row=1, column=name)
+            seen.add(name)
+        types = columns(names)
+        return names, _bulk_floats(handle, types) if bulk else row_loop(reader, names)
+
+
+def _panel_columns(names: list[str]) -> dict[str, type]:
+    if not names:
+        raise ParseError("empty panel file", row=1)
+    return dict.fromkeys(names, float)
+
+
+def _panel_rows(reader: Iterator[list[str]], names: list[str]) -> list[list[float]]:
+    rows = []
+    # an error's row is the line the reader stopped on; a blank line is an
+    # error there, since in a one-column panel it is an empty cell
+    for row in reader:
+        if len(row) != len(names):
+            problem = f"expected {len(names)} cells, found {len(row)}" if row else "blank line"
+            raise ParseError(problem, row=reader.line_num)
+        rows.append(_finite_floats(row, lambda i: (reader.line_num, names[i], "")))
+    if not rows:
+        raise ParseError("panel has no data rows", row=2)
     return rows
 
 
 def _read_panel(path: Path, bulk: bool) -> tuple[list[str], np.ndarray | list[list[float]] | None]:
     """The position names and the data rows; with ``bulk`` the rows come
     from :func:`_bulk_floats` and are ``None`` where it cannot be trusted."""
-    with _open_csv(path) as (handle, reader):
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty panel file", row=1) from None
-        names = [name.strip() for name in header]
-        if any(not name for name in names):
-            raise ParseError("blank position name in header", row=1)
-        _check_unique(names)
-        if bulk:
-            return names, _bulk_floats(handle, len(names))
-        rows = []
-        # an error's row is the line the reader stopped on; a blank line is an
-        # error there, since in a one-column panel it is an empty cell
-        for row in reader:
-            if len(row) != len(names):
-                problem = f"expected {len(names)} cells, found {len(row)}" if row else "blank line"
-                raise ParseError(problem, row=reader.line_num)
-            rows.append(_finite_floats(row, lambda i: (reader.line_num, names[i], "")))
-    if not rows:
-        raise ParseError("panel has no data rows", row=2)
+    names, rows = _read_table(path, bulk, _panel_columns, _panel_rows)
+    if bulk and rows is not None:  # every field is a float, so this is a view
+        rows = rows.view(float).reshape(len(rows), len(names))
     return names, rows
 
 
@@ -232,15 +252,26 @@ def parse_panel_csv(path: str | Path) -> LossPanel:
     return panel
 
 
-def _read_scenario_file(path: Path, row_idx: int) -> list[float]:
+def _read_scenario_file(directory: Path, ref: str, row: int) -> list[float]:
+    """The values of scenario file ``ref``, one per non-blank line. An error
+    names the file as the forecast file's row ``row`` wrote it."""
+    path = directory / ref
+    if not path.is_file():
+        raise ParseError(f"dangling scenario reference {ref!r}", row=row, column="scenario_file")
     lines = path.read_text().splitlines()
-    cells = [cell for cell in map(str.strip, lines) if cell]
+    cells = list(filter(None, map(str.strip, lines)))
     if not cells:
-        raise ParseError(f"scenario file {path} is empty", row=row_idx, column="scenario_file")
+        raise ParseError(f"scenario file {ref!r} is empty", row=row, column="scenario_file")
+    try:  # np.array reads a str as float() does
+        values = np.array(cells, dtype=float)
+    except ValueError:  # a cell float() rejects, which the loop below names
+        values = None
+    if values is not None and np.isfinite(values).all():
+        return values.tolist()
 
     def locate(i: int) -> tuple:
         line_no = [n for n, line in enumerate(lines, start=1) if line.strip()][i]
-        return row_idx, "scenario_file", f" in {path.name} line {line_no}"
+        return row, "scenario_file", f" in {path.name} line {line_no}"
 
     return _finite_floats(cells, locate)
 
@@ -258,6 +289,20 @@ class ForecastColumns:
     quantiles: np.ndarray
     scenario_sets: list[list[float] | None] | None
 
+    @classmethod
+    def of(cls, periods: list[int], floats: dict[str, np.ndarray], scenario_sets: list | None):
+        """From the file's float columns by name."""
+        k = sum(name[0] == "q" for name in floats)
+        quantiles = [floats[f"q{j}"] for j in range(1, k + 1)]
+        return cls(
+            periods,
+            floats["realized"],
+            floats.get("var_forecast"),
+            floats.get("es_forecast"),
+            np.reshape(quantiles, (-1, len(periods))).T,
+            scenario_sets,
+        )
+
     def __len__(self) -> int:
         return len(self.periods)
 
@@ -274,6 +319,100 @@ class ForecastColumns:
         return values
 
 
+def _forecast_columns(names: list[str]) -> dict[str, type]:
+    """The cell type of each column of a forecast file. A supporting-quantile
+    column must be one of ``q1..qK``: with a gap, a leading zero or ``q0`` a
+    column would be tested at another column's level."""
+    for required in ("realized", "period"):
+        if required not in names:
+            raise ParseError(f"missing required column {required!r}", row=1)
+    quantiles = [name for name in names if name[:1] == "q" and name[1:].isdigit()]
+    if set(quantiles) != {f"q{k}" for k in range(1, len(quantiles) + 1)}:
+        raise ParseError(
+            f"supporting-quantile columns must be q1..q{len(quantiles)}, "
+            f"found {', '.join(quantiles)}",
+            row=1,
+        )
+    floats = {"realized", "var_forecast", "es_forecast", *quantiles}
+    return {
+        name: float if name in floats else np.int64 if name == "period" else object
+        for name in names
+    }
+
+
+def _forecast_rows(
+    path: Path, scenario: Callable, reader: Iterator[list[str]], names: list[str]
+) -> ForecastColumns:
+    """The row loop that defines what a forecast file may hold. Errors come
+    row by row, a scenario file's with its row, then float cells column by
+    column."""
+    floats = [name for name, kind in _forecast_columns(names).items() if kind is float]
+    period, realized = names.index("period"), names.index("realized")
+    quantiles = [names.index(name) for name in floats if name[0] == "q"]
+    ref = names.index("scenario_file") if "scenario_file" in names else None
+    periods, rows, scenario_sets = [], [], []
+    # a blank line or a record longer than the header is an error, as in a
+    # panel; a short record ends in blank cells
+    for row in reader:
+        line = reader.line_num
+        if not row or len(row) > len(names):
+            problem = f"expected {len(names)} cells, found {len(row)}" if row else "blank line"
+            raise ParseError(problem, row=line)
+        cells = [cell.strip() for cell in row] + [""] * (len(names) - len(row))
+        try:
+            periods.append(int(cells[period]))
+        except ValueError:
+            raise ParseError(
+                f"non-integer period {cells[period]!r}", row=line, column="period"
+            ) from None
+        if not cells[realized]:
+            raise ParseError("missing realized loss", row=line, column="realized")
+        if not all(cells[i] for i in quantiles):
+            raise ParseError("incomplete supporting-quantile row", row=line, column="q*")
+        if ref is not None:
+            scenario_sets.append(scenario(cells[ref], line))
+        rows.append(cells)
+    if not rows:
+        raise ParseError("forecast file has no data rows", row=2)
+    columns = dict(zip(names, zip(*rows)))
+    values = {}
+    for name in floats:
+        present = [i for i, cell in enumerate(columns[name]) if cell]
+        values[name] = np.full(len(rows), np.nan)
+        values[name][present] = _finite_floats(
+            [columns[name][i] for i in present],
+            lambda k: (_record_line(path, present[k]), name, ""),
+        )
+    return ForecastColumns.of(periods, values, scenario_sets if ref is not None else None)
+
+
+def _read_forecasts(path: Path, bulk: bool) -> ForecastColumns | None:
+    """The columns of a forecast file; with ``bulk`` they come from
+    :func:`_bulk_floats` and are ``None`` where it cannot be trusted. The
+    pass holds no blank cell, so of the loop's errors only a scenario file's
+    can remain; the references come from the csv rows, as the loop reads them."""
+    sets = {"": None}  # each distinct reference is read once; a blank one has none
+
+    def scenario(ref: str, row: int) -> list[float] | None:
+        if ref not in sets:
+            sets[ref] = _read_scenario_file(path.parent, ref, row)
+        return sets[ref]
+
+    row_loop = partial(_forecast_rows, path, scenario)
+    names, table = _read_table(path, bulk, _forecast_columns, row_loop)
+    if not bulk or table is None:
+        return table
+    scenario_sets = None
+    if "scenario_file" in names:
+        ref = names.index("scenario_file")
+        with _open_csv(path) as (_, reader):
+            next(reader)
+            scenario_sets = [scenario(row[ref].strip(), reader.line_num) for row in reader]
+    floats = {name: np.ascontiguousarray(table[name]) for name in names
+              if table.dtype[name] == float}
+    return ForecastColumns.of(table["period"].tolist(), floats, scenario_sets)
+
+
 def parse_forecasts_csv(path: str | Path) -> ForecastColumns:
     """Read a forecast file into the columns the backtests take.
 
@@ -281,73 +420,15 @@ def parse_forecasts_csv(path: str | Path) -> ForecastColumns:
     ``es_forecast``, ``scenario_file`` and supporting-quantile columns
     ``q1..qK`` are optional, and so are their cells, except that a row fills
     every ``q`` column. Scenario files hold one scenario value per line and
-    are resolved relative to the CSV's directory.
+    are resolved relative to the CSV's directory. As for a panel, a bulk pass
+    reads the file and the row loop reads it again only when that pass cannot
+    be trusted.
     """
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"no such input file: {path}")
-    scenario_cache: dict[Path, list[float]] = {}
-    with _open_csv(path) as (_, reader):
-        header = [c.strip() for c in next(reader, [])]
-        _check_unique(header)
-        for required in ("realized", "period"):
-            if required not in header:
-                raise ParseError(f"missing required column {required!r}", row=1)
-        quantile_columns = sorted(
-            (c for c in header if c[:1] == "q" and c[1:].isdigit()), key=lambda c: int(c[1:])
-        )
-        numbers = ["realized", "var_forecast", "es_forecast", *quantile_columns]
-        cells_of = {c: [] for c in numbers if c in header}
-        periods, scenario_sets = [], []
-        # a blank line or a record longer than the header is an error, as in a
-        # panel; a short record ends in blank cells
-        for row in reader:
-            row_idx = reader.line_num
-            if not row or len(row) > len(header):
-                problem = f"expected {len(header)} cells, found {len(row)}" if row else "blank line"
-                raise ParseError(problem, row=row_idx)
-            cells = {c: cell.strip() for c, cell in zip(header, row + [""] * len(header))}
-            try:
-                periods.append(int(cells["period"]))
-            except ValueError:
-                raise ParseError(
-                    f"non-integer period {cells['period']!r}", row=row_idx, column="period"
-                ) from None
-            if not cells["realized"]:
-                raise ParseError("missing realized loss", row=row_idx, column="realized")
-            if not all(cells[c] for c in quantile_columns):
-                raise ParseError("incomplete supporting-quantile row", row=row_idx, column="q*")
-            for c, column in cells_of.items():
-                column.append(cells[c])
-            scenario_ref = cells.get("scenario_file")
-            if scenario_ref:
-                scenario_path = (path.parent / scenario_ref).resolve()
-                if not scenario_path.is_file():
-                    raise ParseError(
-                        f"dangling scenario reference {scenario_ref!r}",
-                        row=row_idx,
-                        column="scenario_file",
-                    )
-                if scenario_path not in scenario_cache:
-                    scenario_cache[scenario_path] = _read_scenario_file(scenario_path, row_idx)
-            scenario_sets.append(scenario_cache[scenario_path] if scenario_ref else None)
-    if not periods:
-        raise ParseError("forecast file has no data rows", row=2)
-    floats = {}
-    for c, cells in cells_of.items():
-        present = [i for i, cell in enumerate(cells) if cell]
-        floats[c] = np.full(len(periods), np.nan)
-        floats[c][present] = _finite_floats(
-            [cells[i] for i in present], lambda k: (_record_line(path, present[k]), c, "")
-        )
-    return ForecastColumns(
-        periods,
-        floats["realized"],
-        floats.get("var_forecast"),
-        floats.get("es_forecast"),
-        np.reshape([floats[c] for c in quantile_columns], (-1, len(periods))).T,
-        scenario_sets if "scenario_file" in header else None,
-    )
+    forecasts = _read_forecasts(path, bulk=True)
+    return forecasts if forecasts is not None else _read_forecasts(path, bulk=False)
 
 
 def _test_result_entry(result: TestResult) -> dict:

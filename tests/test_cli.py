@@ -25,6 +25,13 @@ def write(path, text):
     return str(path)
 
 
+# backtest commands without their --input
+VAR = ["backtest-var", "--level", "0.9"]
+ES = ["backtest-es", "--level", "0.9"]
+PIT = ["backtest-pit"]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 @pytest.fixture
 def uniform_panel(tmp_path):
     lines = ["loss"] + [str(x) for x in range(1, 101)]
@@ -207,6 +214,44 @@ class TestParseForecastsCsv:
             parse_forecasts_csv(path)
         assert (info.value.row, info.value.column) == (1, "var_forecast")
 
+    @pytest.mark.parametrize(
+        "quantiles", ["q1,q2,q4", "q1,q01,q2,q3", "q0,q1,q2", "q2,q3", "q1,q\uff12"]
+    )
+    def test_quantile_columns_must_be_q1_to_qK(self, tmp_path, quantiles):
+        # q1,q2,q4 read as K = 3 would test q4 at the level of a third column
+        cells = ",".join(str(k) for k in range(len(quantiles.split(","))))
+        path = write(tmp_path / "f.csv", f"period,realized,{quantiles}\n1,0.5,{cells}\n")
+        with pytest.raises(ParseError, match="supporting-quantile columns must be q1..q") as info:
+            parse_forecasts_csv(path)
+        assert info.value.row == 1
+
+    def test_quantile_columns_may_come_in_any_order(self, tmp_path):
+        path = write(tmp_path / "f.csv", "period,realized,q2,q1\n1,0.5,4,3\n")
+        assert parse_forecasts_csv(path).quantiles.tolist() == [[3.0, 4.0]]
+
+    def test_blank_column_name_is_an_error(self, tmp_path):
+        # the blank column's cells would otherwise be dropped unread
+        path = write(tmp_path / "f.csv", "period,realized,,var_forecast\n1,0.5,x,1.0\n")
+        with pytest.raises(ParseError, match="blank column name in header") as info:
+            parse_forecasts_csv(path)
+        assert info.value.row == 1
+
+    def test_each_scenario_file_is_read_once(self, tmp_path, monkeypatch):
+        write(tmp_path / "s1.txt", "1.0\n2.0\n")
+        write(tmp_path / "s2.txt", "3.0\n")
+        path = write(
+            tmp_path / "f.csv",
+            "period,realized,scenario_file\n1,0.5,s1.txt\n2,0.5,s2.txt\n3,0.5,s1.txt\n4,0.5,\n",
+        )
+        reads = []
+        read = cli._read_scenario_file
+        monkeypatch.setattr(
+            cli, "_read_scenario_file", lambda *args: reads.append(args[1]) or read(*args)
+        )
+        forecasts = parse_forecasts_csv(path)
+        assert reads == ["s1.txt", "s2.txt"]
+        assert forecasts.scenario_sets == [[1.0, 2.0], [3.0], [1.0, 2.0], None]
+
 
 # Panels that take each branch of the bulk pass and of the row loop: every panel
 # error input of this file, then the syntax where np.loadtxt and csv plus float()
@@ -266,6 +311,116 @@ def parse_outcome(path, capsys):
     return parsed, code, capsys.readouterr()
 
 
+# Forecast files that take each branch of the bulk pass and of the row loop:
+# every forecast and scenario input of this file, the header rules, the cells
+# int() reads and an int64 pass does not, blank cells and short rows, then
+# references and syntax. Each runs next to the scenario files below.
+FORECAST_HEADER = "period,realized,var_forecast,es_forecast,q1,q2,scenario_file\n"
+FORECAST_CASES = [
+    "period,realized,var_forecast\n1,0.5,1.0\n2,1.5,1.0\n",
+    "period,realized,es_forecast,q1,q2,q3,q4\n1,0.5,3.0,1,2,3,4\n",
+    "period,realized,scenario_file\n1,2.5,s1.txt\n",
+    "period, realized ,var_forecast\n1,0.5,1.0\n",
+    "period,realized,var_forecast,es_forecast\n7,0.5,1.0,\n8,1.5,,2.0\n",
+    *(
+        "period,realized,var_forecast,q1,q2\n1,0.5,1.0,3,4\n" + row + "\n"
+        for row in ("2,nan,1.0,3,4", "2,0.5,inf,3,4", "2,0.5,1.0,-inf,4", "2,0.5,1.0,3,x")
+    ),
+    "period,realized,scenario_file\n1,2.5,nan3.txt\n",
+    "period,realized,scenario_file\n1,2.5,missing.txt\n",
+    "period,realized,var_forecast\n1,0.5,1.0\n2,1.5," + "1" * 140000 + "\n",
+    "period,realized,var_forecast\n1,0.5,1.0\n\n3,x,1.0\n",
+    'period,realized,var_forecast\n1,0.5,"1.0\n"\n3,x,1.0\n',
+    "period,var_forecast\n1,1.0\n",
+    "period,realized,var_forecast,var_forecast\n1,0.5,1.0,9.0\n",
+    "period,realized,var_forecast\n1,1.0,-100.0\n2,2.0,-100.0\n",
+    "period,realized,es_forecast,q1,q2,q3,q4\n"
+    "0,0.3,0.97,0.9,0.925,0.95,0.975\n1,0.99,0.97,0.9,0.925,0.95,0.975\n",
+    "period,realized,scenario_file\n0,0.1,s.txt\n1,0.2,s.txt\n2,0.15,s1.txt\n",
+    "period,realized,es_forecast\n1,0.5,1.0\n",
+    "period,realized,var_forecast,es_forecast\n1,0.5,1.0,1.2\n2,0.7,,\n",
+    "period,realized,scenario_file\n1,0.5,s.txt\n2,nan,s.txt\n",
+    "period,realized,scenario_file\n1,0.5,bad.txt\n",
+    "period,realized,scenario_file\n1,0.5,empty.txt\n",
+    "period,realized,var_forecast\n1,0.5,1.0,99\n",
+    "period,realized,es_forecast,q1,q2,q4\n1,0.5,1.0,1,2,4\n",
+    "period,realized,q1,q01,q2,q3\n1,0.5,1,1,2,3\n",
+    "period,realized,q0,q1\n1,0.5,1,2\n",
+    "period,realized,,var_forecast\n1,0.5,x,1.0\n",
+    "",
+    "period,realized\n",
+    *(
+        f"period,realized,var_forecast\n1,0.5,1.0\n{period},0.7,1.1\n"
+        for period in (
+            "1.0", "1e3", "1_000", "99999999999999999999999", "-9223372036854775809",
+            "9223372036854775807", " 7\t", "+3", "007", "\uff11", "x", "",
+        )
+    ),
+    "period,realized,var_forecast\n1,0.5\n2,0.7,1.0\n",
+    "period,realized,var_forecast\n1,,1.0\n",
+    "period,realized,es_forecast,q1,q2\n1,0.5,1.0,2,\n",
+    "period,realized,es_forecast,q1,q2\n1,0.5,,2,3\n",
+    'period,realized,scenario_file\n1,0.5,"s.txt"\n2,0.6, s1.txt \n3,0.7,\n4,0.8,s.txt\n',
+    'period,realized,scenario_file\n1,0.5,"s,1.txt"\n',
+    "period,realized,scenario_file\n1,0.5,odd.txt\n",
+    "period,realized,scenario_file\n1,0.5,comma.txt\n",
+    "period,realized,scenario_file\n1,0.5,pair.txt\n",
+    'period,realized,note,var_forecast\n1,0.5,a"b,1.0\n2,0.6,"c,d",1.1\n',
+    "period,realized,note,var_forecast\n1,0.5,nan,1.0\n",
+    *(
+        text.replace("\n", eol)
+        for eol in ("\n", "\r\n", "\r")
+        for text in (
+            FORECAST_HEADER + "1,0.5,1.0,1.2,1.0,1.1,s.txt\n2,0.6,1.0,1.2,1.0,1.1,s1.txt\n",
+            FORECAST_HEADER + "1,0.5,1.0,1.2,1.0,1.1,s.txt\n\n",
+            FORECAST_HEADER + "\n1,0.5,1.0,1.2,1.0,1.1,s.txt",
+        )
+    ),
+    'period,realized,var_forecast\n"1","0.5", 1.0 \n',
+    'period,realized,var_forecast\n1,"0.5\n",1.0\n',
+    "period,realized,var_forecast\n1,0.5,1.0\x00\n",
+    "period,realized,var_forecast\n1\x00,0.5,1.0\n",
+]
+SCENARIO_FILES = {
+    "s.txt": "0.1\n0.2\n",
+    "s1.txt": "1.0\n2.0\n3.0\n",
+    "nan3.txt": "1.0\n\nnan\n",
+    "bad.txt": "0.1\nnan\n",
+    "empty.txt": "\n",
+    "s,1.txt": "1\n2\n",
+    "odd.txt": "1_0\n\uff11\n +.5 \n5.\n\n-.5\r\n",
+    "comma.txt": "1,5\n",
+    "pair.txt": "1.0 2.0\n",
+}
+
+
+def forecast_file(directory, text):
+    """``text`` as a forecast file, written as bytes, next to the scenario files."""
+    for name, values in SCENARIO_FILES.items():
+        (directory / name).write_bytes(values.encode())
+    path = directory / "f.csv"
+    path.write_bytes(text.encode())
+    return path
+
+
+def forecast_summary(forecasts):
+    """Everything a ForecastColumns holds, bit for bit."""
+    f = forecasts
+    arrays = (f.realized, f.var_forecast, f.es_forecast, f.quantiles)
+    return f.periods, [None if a is None else (a.shape, a.tobytes()) for a in arrays], f.scenario_sets
+
+
+def forecast_outcome(path, capsys):
+    """What parse_forecasts_csv returns or raises, and what each backtest
+    prints on the file."""
+    try:
+        parsed = forecast_summary(parse_forecasts_csv(path))
+    except ParseError as exc:
+        parsed = (str(exc), exc.row, exc.column)
+    runs = [(main(argv + ["--input", path]), capsys.readouterr()) for argv in (VAR, ES, PIT)]
+    return parsed, runs
+
+
 class TestBulkParse:
     @pytest.mark.parametrize("text", BULK_CASES)
     def test_bulk_pass_agrees_with_the_row_loop(self, tmp_path, monkeypatch, capsys, text):
@@ -300,6 +455,55 @@ class TestBulkParse:
         names, rows = cli._read_panel(path, bulk=True)
         assert rows.shape == (60, 3)
         assert rows.tobytes() == np.array(cli._read_panel(path, bulk=False)[1]).tobytes()
+
+    @pytest.mark.parametrize("text", FORECAST_CASES)
+    def test_forecast_bulk_pass_agrees_with_the_row_loop(self, tmp_path, monkeypatch, capsys, text):
+        path = str(forecast_file(tmp_path, text))
+        bulk = forecast_outcome(path, capsys)
+        monkeypatch.setattr(cli, "_bulk_floats", lambda lines, columns: None)
+        assert forecast_outcome(path, capsys) == bulk
+
+    @pytest.mark.parametrize(
+        "text, trusted",
+        [
+            ("period,realized,var_forecast\r\n1,0.5,1.0\r\n", True),
+            ('period,realized,scenario_file\n1,0.5,"s.txt"\n2,0.6,\n', True),
+            ("period,realized,note\n1,0.5,nan\n", True),
+            ("period,realized,var_forecast\n 7 ,0.5,1.0\n", True),
+            ("period,realized,var_forecast\n1.0,0.5,1.0\n", False),
+            ("period,realized,var_forecast\n1_000,0.5,1.0\n", False),
+            ("period,realized,var_forecast\n99999999999999999999999,0.5,1.0\n", False),
+            ("period,realized,var_forecast\n1,0.5,\n", False),
+            ("period,realized,var_forecast\n1,0.5\n", False),
+            ("period,realized,var_forecast\n1,0.5,1.0,2\n", False),
+            ("period,realized,var_forecast\n1,0.5,nan\n", False),
+        ],
+    )
+    def test_forecast_bulk_pass_is_trusted_only_where_it_can_judge(self, tmp_path, text, trusted):
+        forecasts = cli._read_forecasts(forecast_file(tmp_path, text), bulk=True)
+        assert (forecasts is not None) == trusted
+
+    def test_golden_forecasts_take_the_bulk_pass(self):
+        path = GOLDEN / "forecasts.csv"
+        forecasts = cli._read_forecasts(path, bulk=True)
+        assert len(forecasts) == 120 and forecasts.quantiles.shape == (120, 4)
+        loop = cli._read_forecasts(path, bulk=False)
+        assert forecast_summary(forecasts) == forecast_summary(loop)
+
+    def test_benchmark_shaped_forecasts_take_the_bulk_pass(self, tmp_path):
+        # an integer period, seven float columns in repr and a scenario file per period
+        rng = np.random.default_rng(5)
+        lines = [FORECAST_HEADER.replace("q2,", "q2,q3,q4,").rstrip("\n")]
+        for period in range(1, 201):
+            scenarios = "\n".join(map(repr, rng.normal(size=25).tolist()))
+            write(tmp_path / f"p{period}.txt", scenarios + "\n")
+            cells = map(repr, rng.normal(size=7).tolist())
+            lines.append(",".join([str(period), *cells, f"p{period}.txt"]))
+        path = Path(write(tmp_path / "f.csv", "\n".join(lines) + "\n"))
+        forecasts = cli._read_forecasts(path, bulk=True)
+        assert len(forecasts) == 200 and forecasts.quantiles.shape == (200, 4)
+        loop = cli._read_forecasts(path, bulk=False)
+        assert forecast_summary(forecasts) == forecast_summary(loop)
 
 
 class TestMeasureCommand:
@@ -546,9 +750,6 @@ class TestRenderReport:
         assert cli.render_report(report) == '{\n  "count": 2,\n  "flag": true,\n  "value": 0.1\n}\n'
 
 
-VAR = ["backtest-var", "--level", "0.9"]
-PIT = ["backtest-pit"]
-
 
 class TestCliContract:
     def test_invalid_config_exits_two(self, uniform_panel):
@@ -587,7 +788,10 @@ class TestCliContract:
         write(tmp_path / "s.txt", "\n")
         path = write(tmp_path / "f.csv", "period,realized,scenario_file\n1,0.5,s.txt\n")
         assert main(["backtest-pit", "--input", path]) == 2
-        assert "is empty" in json.loads(capsys.readouterr().err)["error"]["message"]
+        # the reference as the forecast file wrote it, the same on every machine
+        assert json.loads(capsys.readouterr().err)["error"]["message"] == (
+            "scenario file 's.txt' is empty (row 2, column 'scenario_file')"
+        )
 
     def test_row_without_forecasts_exits_two(self, tmp_path, capsys):
         path = write(
@@ -637,6 +841,21 @@ class TestCliContract:
         path = write(tmp_path / "f.csv", "period,realized,var_forecast\n1,0.5,1.0\n\n3,x,1.0\n")
         assert main(VAR + ["--input", path]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["message"] == "blank line (row 3)"
+
+    def test_quantile_gap_exits_two(self, tmp_path, capsys):
+        path = write(tmp_path / "f.csv", "period,realized,es_forecast,q1,q2,q4\n1,0.5,1.0,1,2,4\n")
+        assert main(ES + ["--input", path]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {
+            "type": "ParseError",
+            "message": "supporting-quantile columns must be q1..q3, found q1, q2, q4 (row 1)",
+        }
+
+    def test_blank_forecast_column_name_exits_two(self, tmp_path, capsys):
+        path = write(tmp_path / "f.csv", "period,realized,,var_forecast\n1,0.5,x,1.0\n")
+        assert main(VAR + ["--input", path]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ParseError", "message": "blank column name in header (row 1)"}
 
     def test_long_forecast_row_exits_two(self, tmp_path, capsys):
         # the extra cell has no column to go to

@@ -1,7 +1,7 @@
 """Property tests over random laws and panels, with equal and unequal weights:
 construction against the ``np.unique`` merge, VaR and ES against the scan and
-tail-form oracles, and full ES allocation; and panel files that parse back to
-exactly the numbers written."""
+tail-form oracles, and full ES allocation; and panel and forecast files that
+parse back to exactly the numbers written."""
 
 import math
 from collections import Counter
@@ -175,3 +175,61 @@ def test_panel_file_parses_to_the_values_written(tmp_path_factory, case):
     _, bulk = cli._read_panel(path, bulk=True)
     assert bulk.shape == values.shape and bulk.tobytes() == values.tobytes()
     assert cli.parse_panel_csv(path).rows.tobytes() == values.tobytes()
+
+
+SCENARIOS = {"a.txt": [0.25, -1.5, 3.0], "b.txt": [1e-300, 2.5]}
+
+
+@st.composite
+def forecast_files(draw):
+    """(file text, the columns written): the columns in a random order, floats
+    in ``repr``, blank optional cells, scenario references and periods past
+    int64, under one random line ending."""
+    optional = draw(st.sets(st.sampled_from(["var_forecast", "es_forecast", "scenario_file"])))
+    quantiles = [f"q{k}" for k in range(1, draw(st.sampled_from([0, 2, 4])) + 1)]
+    names = draw(st.permutations(["period", "realized", *optional, *quantiles]))
+    t = draw(st.integers(1, 6))
+    periods = draw(st.lists(st.integers(-(2**64), 2**64), min_size=t, max_size=t))
+    maybe_blank = st.one_of(st.just(math.nan), written)
+    cells = {
+        "period": [str(p) for p in periods],
+        "scenario_file": draw(st.lists(st.sampled_from(["", *SCENARIOS]), min_size=t, max_size=t)),
+    }
+    columns = {}
+    for name in names:
+        if name not in cells:
+            draws = maybe_blank if name in ("var_forecast", "es_forecast") else written
+            columns[name] = np.array(draw(st.lists(draws, min_size=t, max_size=t)), dtype=float)
+            cells[name] = ["" if math.isnan(v) else repr(v) for v in columns[name].tolist()]
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(names), *(",".join(cells[name][i] for name in names) for i in range(t))]
+    refs = cells["scenario_file"] if "scenario_file" in names else None
+    return eol.join(lines) + draw(st.sampled_from([eol, ""])), periods, columns, refs
+
+
+@PROPERTY
+@given(forecast_files())
+def test_forecast_file_parses_to_the_values_written(tmp_path_factory, case):
+    text, periods, columns, refs = case
+    directory = tmp_path_factory.mktemp("forecast")
+    for name, values in SCENARIOS.items():
+        (directory / name).write_text("\n".join(map(repr, values)) + "\n")
+    path = directory / "f.csv"
+    path.write_bytes(text.encode())
+    fits = all(-(2**63) <= p < 2**63 for p in periods)
+    bulk = cli._read_forecasts(path, bulk=True)
+    # the bulk pass reads every file without a blank cell or an int64 overflow
+    assert (bulk is not None) == (fits and not any(np.isnan(v).any() for v in columns.values()))
+    for forecasts in (bulk, cli.parse_forecasts_csv(path)):
+        if forecasts is None:
+            continue
+        assert forecasts.periods == periods
+        for name in ("realized", "var_forecast", "es_forecast"):
+            read = getattr(forecasts, name)
+            assert (read is None) == (name not in columns)
+            assert read is None or read.tobytes() == columns[name].tobytes()
+        quantiles = [columns[f"q{k}"] for k in range(1, forecasts.quantiles.shape[1] + 1)]
+        assert forecasts.quantiles.shape[1] == sum(name[0] == "q" for name in columns)
+        assert forecasts.quantiles.tobytes() == np.reshape(quantiles, (-1, len(periods))).T.tobytes()
+        sets = None if refs is None else [SCENARIOS.get(ref) for ref in refs]
+        assert forecasts.scenario_sets == sets
