@@ -310,7 +310,9 @@ def diversify(panel: LossPanel, kind: MeasureKind) -> DiversificationResult:
     """Every diversification result from one allocation, the portfolio law
     and each position's law built once. Each value equals the one
     :func:`diversification_index`, :func:`diversification_benefit` or
-    :func:`marginal_diversification_index` returns."""
+    :func:`marginal_diversification_index` returns. An expectile below 1/2
+    has no Euler allocation, so there this raises :class:`ValueError`, as the
+    marginal index does, though :func:`diversification_index` has a value."""
     law = panel.portfolio_law()
     total = evaluate(law, kind)
     rac_total = total - mean(law)  # risk_adjusted_capital(law, kind)

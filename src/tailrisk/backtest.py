@@ -253,12 +253,8 @@ def independence_test(v: ViolationSeries) -> TestResult:
         raise InsufficientDataError("independence test needs at least two periods")
     if v.count == 0 or v.count == t:
         return _make_result("independence-markov-lr", 0.0, 1.0, ("degenerate",))
-    i = v.indicators
-    prev, nxt = i[:-1], i[1:]
-    n00 = int(np.sum((prev == 0) & (nxt == 0)))
-    n01 = int(np.sum((prev == 0) & (nxt == 1)))
-    n10 = int(np.sum((prev == 1) & (nxt == 0)))
-    n11 = int(np.sum((prev == 1) & (nxt == 1)))
+    i = v.indicators.astype(np.intp)
+    n00, n01, n10, n11 = np.bincount(2 * i[:-1] + i[1:], minlength=4).tolist()
     from0 = n00 + n01
     from1 = n10 + n11
     p01 = n01 / from0 if from0 else 0.0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import encodings.utf_8_sig  # noqa: F401  every input's codec, loaded with the module
 import itertools
 import json
 import math
@@ -21,7 +22,6 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -106,15 +106,18 @@ class RunConfig:
 
 @contextmanager
 def _open_csv(path: Path):
-    """Open ``path`` and yield the handle with a csv reader over it; a
-    malformed record, such as a cell longer than the csv field size limit,
-    becomes a :class:`ParseError` at the line where the reader stopped."""
-    with path.open(newline="") as handle:
+    """Open ``path`` as UTF-8, with or without a byte-order mark, and yield the
+    handle with a csv reader over it. A malformed record, such as a cell longer
+    than the csv field size limit, becomes a :class:`ParseError` at the line
+    where the reader stopped; bytes that do not decode, one naming the file."""
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             yield handle, reader
         except csv.Error as exc:
             raise ParseError(f"malformed CSV: {exc}", row=reader.line_num) from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def _record_line(path: Path, index: int) -> int:
@@ -176,15 +179,14 @@ def _bulk_floats(lines: Iterator[str], columns: dict[str, type]) -> np.ndarray |
     return rows
 
 
-def _read_table(path: Path, bulk: bool, columns: Callable, row_loop: Callable) -> tuple:
+def _read_table(path: Path, columns: Callable, row_loop: Callable) -> tuple:
     """The header and the data rows of a panel or forecast file.
 
     The header's names are stripped; a blank one would drop its column unread
     and a repeated one hide a column behind another. ``columns(names)`` checks
     what else the file's kind asks of them and gives each column's cell type.
-    With ``bulk`` the rows come from :func:`_bulk_floats` and are ``None``
-    where it cannot be trusted; without it, from ``row_loop(reader, names)``,
-    which defines what they may hold.
+    The rows are the records of :func:`_bulk_floats` where it can be trusted,
+    else what ``row_loop(reader, names)`` returns, which defines what they hold.
     """
     with _open_csv(path) as (handle, reader):
         names = [name.strip() for name in next(reader, [])]
@@ -196,7 +198,12 @@ def _read_table(path: Path, bulk: bool, columns: Callable, row_loop: Callable) -
                 raise ParseError("repeated column name in header", row=1, column=name)
             seen.add(name)
         types = columns(names)
-        return names, _bulk_floats(handle, types) if bulk else row_loop(reader, names)
+        rows = _bulk_floats(handle, types)
+    if rows is None:
+        with _open_csv(path) as (_, reader):
+            next(reader)
+            rows = row_loop(reader, names)
+    return names, rows
 
 
 def _panel_columns(names: list[str]) -> dict[str, type]:
@@ -219,15 +226,6 @@ def _panel_rows(reader: Iterator[list[str]], names: list[str]) -> list[list[floa
     return rows
 
 
-def _read_panel(path: Path, bulk: bool) -> tuple[list[str], np.ndarray | list[list[float]] | None]:
-    """The position names and the data rows; with ``bulk`` the rows come
-    from :func:`_bulk_floats` and are ``None`` where it cannot be trusted."""
-    names, rows = _read_table(path, bulk, _panel_columns, _panel_rows)
-    if bulk and rows is not None:  # every field is a float, so this is a view
-        rows = rows.view(float).reshape(len(rows), len(names))
-    return names, rows
-
-
 def parse_panel_csv(path: str | Path) -> LossPanel:
     """Read a loss panel: a header row of unique position names, then numeric
     rows. The row loop defines what a panel may hold; a bulk pass reads the
@@ -238,9 +236,9 @@ def parse_panel_csv(path: str | Path) -> LossPanel:
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"no such input file: {path}")
-    names, rows = _read_panel(path, bulk=True)
-    if rows is None:
-        names, rows = _read_panel(path, bulk=False)
+    names, rows = _read_table(path, _panel_columns, _panel_rows)
+    if isinstance(rows, np.ndarray):  # every field is a float, so this is a view
+        rows = rows.view(float).reshape(len(rows), len(names))
     panel = LossPanel.from_rows(rows, positions=names)
     with np.errstate(over="ignore"):
         overflowed = ~np.isfinite(panel.portfolio_losses())
@@ -252,16 +250,19 @@ def parse_panel_csv(path: str | Path) -> LossPanel:
     return panel
 
 
-def _read_scenario_file(directory: Path, ref: str, row: int) -> list[float]:
+def _read_scenario_file(directory: Path, ref: str) -> list[float]:
     """The values of scenario file ``ref``, one per non-blank line. An error
-    names the file as the forecast file's row ``row`` wrote it."""
+    names the file as the forecast file wrote it."""
     path = directory / ref
     if not path.is_file():
-        raise ParseError(f"dangling scenario reference {ref!r}", row=row, column="scenario_file")
-    lines = path.read_text().splitlines()
+        raise ParseError(f"dangling scenario reference {ref!r}")
+    try:
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"scenario file {ref!r} is not UTF-8 text: {exc.reason}") from None
     cells = list(filter(None, map(str.strip, lines)))
     if not cells:
-        raise ParseError(f"scenario file {ref!r} is empty", row=row, column="scenario_file")
+        raise ParseError(f"scenario file {ref!r} is empty")
     try:  # np.array reads a str as float() does
         values = np.array(cells, dtype=float)
     except ValueError:  # a cell float() rejects, which the loop below names
@@ -271,9 +272,25 @@ def _read_scenario_file(directory: Path, ref: str, row: int) -> list[float]:
 
     def locate(i: int) -> tuple:
         line_no = [n for n, line in enumerate(lines, start=1) if line.strip()][i]
-        return row, "scenario_file", f" in {path.name} line {line_no}"
+        return None, None, f" in {path.name} line {line_no}"
 
     return _finite_floats(cells, locate)
+
+
+def _scenario_sets(path: Path, refs: Sequence[str]) -> list[list[float] | None]:
+    """The scenario set of each reference of forecast file ``path``, a blank
+    one having none. Each distinct file is read once; an error in one is
+    placed at the line of the first record naming it, found only then."""
+    refs = [ref.strip() for ref in refs]
+    sets = {"": None}
+    for index, ref in enumerate(refs):
+        if ref not in sets:
+            try:
+                sets[ref] = _read_scenario_file(path.parent, ref)
+            except ParseError as exc:
+                row = _record_line(path, index)
+                raise ParseError(str(exc), row=row, column="scenario_file") from None
+    return [sets[ref] for ref in refs]
 
 
 @dataclass(frozen=True)
@@ -288,20 +305,6 @@ class ForecastColumns:
     es_forecast: np.ndarray | None
     quantiles: np.ndarray
     scenario_sets: list[list[float] | None] | None
-
-    @classmethod
-    def of(cls, periods: list[int], floats: dict[str, np.ndarray], scenario_sets: list | None):
-        """From the file's float columns by name."""
-        k = sum(name[0] == "q" for name in floats)
-        quantiles = [floats[f"q{j}"] for j in range(1, k + 1)]
-        return cls(
-            periods,
-            floats["realized"],
-            floats.get("var_forecast"),
-            floats.get("es_forecast"),
-            np.reshape(quantiles, (-1, len(periods))).T,
-            scenario_sets,
-        )
 
     def __len__(self) -> int:
         return len(self.periods)
@@ -340,17 +343,15 @@ def _forecast_columns(names: list[str]) -> dict[str, type]:
     }
 
 
-def _forecast_rows(
-    path: Path, scenario: Callable, reader: Iterator[list[str]], names: list[str]
-) -> ForecastColumns:
-    """The row loop that defines what a forecast file may hold. Errors come
-    row by row, a scenario file's with its row, then float cells column by
-    column."""
-    floats = [name for name, kind in _forecast_columns(names).items() if kind is float]
+def _forecast_rows(reader: Iterator[list[str]], names: list[str]) -> tuple:
+    """The row loop that defines what a forecast file may hold. It gives the
+    periods, the float columns by name, a blank cell as NaN, and the scenario
+    references (``None`` without that column). Errors come row by row."""
+    floats = [i for i, kind in enumerate(_forecast_columns(names).values()) if kind is float]
     period, realized = names.index("period"), names.index("realized")
-    quantiles = [names.index(name) for name in floats if name[0] == "q"]
+    quantiles = [i for i in floats if names[i][0] == "q"]
     ref = names.index("scenario_file") if "scenario_file" in names else None
-    periods, rows, scenario_sets = [], [], []
+    periods, values, refs = [], [], []
     # a blank line or a record longer than the header is an error, as in a
     # panel; a short record ends in blank cells
     for row in reader:
@@ -369,48 +370,15 @@ def _forecast_rows(
             raise ParseError("missing realized loss", row=line, column="realized")
         if not all(cells[i] for i in quantiles):
             raise ParseError("incomplete supporting-quantile row", row=line, column="q*")
+        filled = [i for i in floats if cells[i]]
+        read = _finite_floats([cells[i] for i in filled], lambda k: (line, names[filled[k]], ""))
+        values.append(dict(zip(filled, read)))
         if ref is not None:
-            scenario_sets.append(scenario(cells[ref], line))
-        rows.append(cells)
-    if not rows:
+            refs.append(cells[ref])
+    if not periods:
         raise ParseError("forecast file has no data rows", row=2)
-    columns = dict(zip(names, zip(*rows)))
-    values = {}
-    for name in floats:
-        present = [i for i, cell in enumerate(columns[name]) if cell]
-        values[name] = np.full(len(rows), np.nan)
-        values[name][present] = _finite_floats(
-            [columns[name][i] for i in present],
-            lambda k: (_record_line(path, present[k]), name, ""),
-        )
-    return ForecastColumns.of(periods, values, scenario_sets if ref is not None else None)
-
-
-def _read_forecasts(path: Path, bulk: bool) -> ForecastColumns | None:
-    """The columns of a forecast file; with ``bulk`` they come from
-    :func:`_bulk_floats` and are ``None`` where it cannot be trusted. The
-    pass holds no blank cell, so of the loop's errors only a scenario file's
-    can remain; the references come from the csv rows, as the loop reads them."""
-    sets = {"": None}  # each distinct reference is read once; a blank one has none
-
-    def scenario(ref: str, row: int) -> list[float] | None:
-        if ref not in sets:
-            sets[ref] = _read_scenario_file(path.parent, ref, row)
-        return sets[ref]
-
-    row_loop = partial(_forecast_rows, path, scenario)
-    names, table = _read_table(path, bulk, _forecast_columns, row_loop)
-    if not bulk or table is None:
-        return table
-    scenario_sets = None
-    if "scenario_file" in names:
-        ref = names.index("scenario_file")
-        with _open_csv(path) as (_, reader):
-            next(reader)
-            scenario_sets = [scenario(row[ref].strip(), reader.line_num) for row in reader]
-    floats = {name: np.ascontiguousarray(table[name]) for name in names
-              if table.dtype[name] == float}
-    return ForecastColumns.of(table["period"].tolist(), floats, scenario_sets)
+    columns = {names[i]: np.array([read.get(i, math.nan) for read in values]) for i in floats}
+    return periods, columns, refs if ref is not None else None
 
 
 def parse_forecasts_csv(path: str | Path) -> ForecastColumns:
@@ -422,13 +390,28 @@ def parse_forecasts_csv(path: str | Path) -> ForecastColumns:
     every ``q`` column. Scenario files hold one scenario value per line and
     are resolved relative to the CSV's directory. As for a panel, a bulk pass
     reads the file and the row loop reads it again only when that pass cannot
-    be trusted.
+    be trusted. Errors come from the header, then row by row, then from the
+    scenario files in row order.
     """
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"no such input file: {path}")
-    forecasts = _read_forecasts(path, bulk=True)
-    return forecasts if forecasts is not None else _read_forecasts(path, bulk=False)
+    names, table = _read_table(path, _forecast_columns, _forecast_rows)
+    if isinstance(table, np.ndarray):  # the bulk pass's records
+        floats = {name: np.ascontiguousarray(table[name]) for name in names
+                  if table.dtype[name] == float}
+        refs = table["scenario_file"] if "scenario_file" in names else None
+        table = table["period"].tolist(), floats, refs
+    periods, floats, refs = table
+    k = sum(name[0] == "q" for name in floats)
+    return ForecastColumns(
+        periods,
+        floats["realized"],
+        floats.get("var_forecast"),
+        floats.get("es_forecast"),
+        np.reshape([floats[f"q{j}"] for j in range(1, k + 1)], (-1, len(periods))).T,
+        None if refs is None else _scenario_sets(path, refs),
+    )
 
 
 def _test_result_entry(result: TestResult) -> dict:

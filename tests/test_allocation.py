@@ -215,6 +215,8 @@ class TestDiversify:
         p = bernoulli_product_panel()
         with pytest.raises(ValueError, match="tau >= 1/2"):
             diversify(p, MeasureKind.expectile(0.3))
+        # though the index, which needs no allocation, has a value: 0.75 / (0.3 + 0.3)
+        assert diversification_index(p, MeasureKind.expectile(0.3)) == pytest.approx(1.25)
 
 
 class TestMarginalDiversificationIndex:

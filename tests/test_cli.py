@@ -2,6 +2,7 @@
 codes, and deterministic JSON reports."""
 
 import json
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,35 @@ class TestParseForecastsCsv:
         assert reads == ["s1.txt", "s2.txt"]
         assert forecasts.scenario_sets == [[1.0, 2.0], [3.0], [1.0, 2.0], None]
 
+    def test_trusted_file_with_references_is_opened_once(self, tmp_path, monkeypatch):
+        # the references come from the bulk pass's table, not a second csv pass
+        path = forecast_file(tmp_path, "period,realized,scenario_file\n1,0.5,s.txt\n2,0.6,s1.txt\n")
+        opened, open_csv = [], cli._open_csv
+        monkeypatch.setattr(cli, "_open_csv", lambda path: opened.append(path) or open_csv(path))
+        forecasts = parse_forecasts_csv(path)
+        assert opened == [path]
+        assert forecasts.scenario_sets == [[0.1, 0.2], [1.0, 2.0, 3.0]]
+
+    @pytest.mark.parametrize(
+        "text, row, column",
+        [
+            # a row's float cells are read before the next row's period
+            ("period,realized,var_forecast\n1,0.5,x\n2.5,0.6,1.0\n", 2, "var_forecast"),
+            # every row is read before the scenario files
+            ("period,realized,scenario_file\n1,0.5,missing.txt\n2,x,s.txt\n", 3, "realized"),
+        ],
+    )
+    def test_errors_come_row_by_row_then_from_scenario_files(self, tmp_path, text, row, column):
+        with pytest.raises(ParseError, match="cell 'x' is not a finite number") as info:
+            parse_forecasts_csv(forecast_file(tmp_path, text))
+        assert (info.value.row, info.value.column) == (row, column)
+
+    def test_scenario_error_row_is_the_line_its_record_ends_on(self, tmp_path):
+        path = forecast_file(tmp_path, 'period,realized,scenario_file\n1,0.5,s.txt\n2,0.6,"m\nx"\n')
+        with pytest.raises(ParseError, match=r"dangling scenario reference 'm\\nx'") as info:
+            parse_forecasts_csv(path)
+        assert (info.value.row, info.value.column) == (4, "scenario_file")
+
 
 # Panels that take each branch of the bulk pass and of the row loop: every panel
 # error input of this file, then the syntax where np.loadtxt and csv plus float()
@@ -298,6 +328,14 @@ BULK_CASES = [
     "a,b\n1,\x00\n",
     "a\n1\n" + "0" * 140000 + "1\n",
 ]
+
+
+def bulk_tables(patch):
+    """The tables ``cli._bulk_floats`` returns once ``patch`` spies on it,
+    ``None`` for each file it cannot vouch for."""
+    tables, read = [], cli._bulk_floats
+    patch.setattr(cli, "_bulk_floats", lambda *args: tables.append(read(*args)) or tables[-1])
+    return tables
 
 
 def parse_outcome(path, capsys):
@@ -380,6 +418,19 @@ FORECAST_CASES = [
     'period,realized,var_forecast\n1,"0.5\n",1.0\n',
     "period,realized,var_forecast\n1,0.5,1.0\x00\n",
     "period,realized,var_forecast\n1\x00,0.5,1.0\n",
+    # two errors each: the first in file order is reported, and a scenario
+    # file's only after every row
+    "period,realized,var_forecast\n1,0.5,x\n2.5,0.6,1.0\n",
+    "period,realized,scenario_file\n1,0.5,missing.txt\n2,x,s.txt\n",
+    # reference cells where csv.reader and the bulk pass's text field could differ
+    *(
+        f"period,realized,scenario_file\n1,0.5,{cell}\n2,0.6,s.txt\n".replace("\n", eol)
+        for eol in ("\n", "\r\n", "\r")
+        for cell in (
+            ' "s.txt"', 'a"b', '"s.txt" ', '"a""b"', '"s"x', "s.txt\t", '"s,1.txt"', '"s\n.txt"',
+            '"s.txt',
+        )
+    ),
 ]
 SCENARIO_FILES = {
     "s.txt": "0.1\n0.2\n",
@@ -391,6 +442,7 @@ SCENARIO_FILES = {
     "odd.txt": "1_0\n\uff11\n +.5 \n5.\n\n-.5\r\n",
     "comma.txt": "1,5\n",
     "pair.txt": "1.0 2.0\n",
+    'a"b': "4\n",
 }
 
 
@@ -444,17 +496,23 @@ class TestBulkParse:
             ("a\n" + "0" * 140000 + "1\n", False),
         ],
     )
-    def test_bulk_pass_is_trusted_only_where_it_can_judge(self, tmp_path, text, trusted):
+    def test_bulk_pass_is_trusted_only_where_it_can_judge(
+        self, tmp_path, monkeypatch, text, trusted
+    ):
         path = tmp_path / "p.csv"
         path.write_bytes(text.encode())
-        _, rows = cli._read_panel(path, bulk=True)
-        assert (rows is not None) == trusted
+        tables = bulk_tables(monkeypatch)
+        with suppress(ParseError):
+            parse_panel_csv(path)
+        assert [table is not None for table in tables] == [trusted]
 
-    def test_golden_panel_takes_the_bulk_pass(self):
-        path = Path(__file__).resolve().parent / "golden" / "panel.csv"
-        names, rows = cli._read_panel(path, bulk=True)
-        assert rows.shape == (60, 3)
-        assert rows.tobytes() == np.array(cli._read_panel(path, bulk=False)[1]).tobytes()
+    def test_golden_panel_takes_the_bulk_pass(self, monkeypatch):
+        path = GOLDEN / "panel.csv"
+        tables = bulk_tables(monkeypatch)
+        rows = parse_panel_csv(path).rows
+        assert rows.shape == (60, 3) and tables[0].tobytes() == rows.tobytes()
+        monkeypatch.setattr(cli, "_bulk_floats", lambda lines, columns: None)
+        assert rows.tobytes() == parse_panel_csv(path).rows.tobytes()
 
     @pytest.mark.parametrize("text", FORECAST_CASES)
     def test_forecast_bulk_pass_agrees_with_the_row_loop(self, tmp_path, monkeypatch, capsys, text):
@@ -479,18 +537,24 @@ class TestBulkParse:
             ("period,realized,var_forecast\n1,0.5,nan\n", False),
         ],
     )
-    def test_forecast_bulk_pass_is_trusted_only_where_it_can_judge(self, tmp_path, text, trusted):
-        forecasts = cli._read_forecasts(forecast_file(tmp_path, text), bulk=True)
-        assert (forecasts is not None) == trusted
+    def test_forecast_bulk_pass_is_trusted_only_where_it_can_judge(
+        self, tmp_path, monkeypatch, text, trusted
+    ):
+        tables = bulk_tables(monkeypatch)
+        with suppress(ParseError):
+            parse_forecasts_csv(forecast_file(tmp_path, text))
+        assert [table is not None for table in tables] == [trusted]
 
-    def test_golden_forecasts_take_the_bulk_pass(self):
+    def test_golden_forecasts_take_the_bulk_pass(self, monkeypatch):
         path = GOLDEN / "forecasts.csv"
-        forecasts = cli._read_forecasts(path, bulk=True)
+        tables = bulk_tables(monkeypatch)
+        forecasts = parse_forecasts_csv(path)
+        assert tables[0] is not None
         assert len(forecasts) == 120 and forecasts.quantiles.shape == (120, 4)
-        loop = cli._read_forecasts(path, bulk=False)
-        assert forecast_summary(forecasts) == forecast_summary(loop)
+        monkeypatch.setattr(cli, "_bulk_floats", lambda lines, columns: None)
+        assert forecast_summary(forecasts) == forecast_summary(parse_forecasts_csv(path))
 
-    def test_benchmark_shaped_forecasts_take_the_bulk_pass(self, tmp_path):
+    def test_benchmark_shaped_forecasts_take_the_bulk_pass(self, tmp_path, monkeypatch):
         # an integer period, seven float columns in repr and a scenario file per period
         rng = np.random.default_rng(5)
         lines = [FORECAST_HEADER.replace("q2,", "q2,q3,q4,").rstrip("\n")]
@@ -500,10 +564,81 @@ class TestBulkParse:
             cells = map(repr, rng.normal(size=7).tolist())
             lines.append(",".join([str(period), *cells, f"p{period}.txt"]))
         path = Path(write(tmp_path / "f.csv", "\n".join(lines) + "\n"))
-        forecasts = cli._read_forecasts(path, bulk=True)
+        tables = bulk_tables(monkeypatch)
+        forecasts = parse_forecasts_csv(path)
+        assert tables[0] is not None
         assert len(forecasts) == 200 and forecasts.quantiles.shape == (200, 4)
-        loop = cli._read_forecasts(path, bulk=False)
-        assert forecast_summary(forecasts) == forecast_summary(loop)
+        monkeypatch.setattr(cli, "_bulk_floats", lambda lines, columns: None)
+        assert forecast_summary(forecasts) == forecast_summary(parse_forecasts_csv(path))
+
+
+class TestEncoding:
+    """Every input is UTF-8, with or without a byte-order mark; bytes that do
+    not decode are a ParseError that names the file."""
+
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, bulk):
+        if not bulk:
+            monkeypatch.setattr(cli, "_bulk_floats", lambda lines, columns: None)
+        panel, forecasts = "a,b\n1,2\n3,4\n", "period,realized,scenario_file\n1,0.5,s.txt\n"
+        read = {}
+        for mark in ("", "\ufeff"):
+            directory = tmp_path / f"bom{len(mark)}"
+            directory.mkdir()
+            (directory / "s.txt").write_text(mark + "0.5\n1.5\n", encoding="utf-8")
+            (directory / "p.csv").write_text(mark + panel, encoding="utf-8")
+            (directory / "f.csv").write_text(mark + forecasts, encoding="utf-8")
+            parsed = parse_panel_csv(directory / "p.csv")
+            read[mark] = (
+                parsed.positions,
+                parsed.rows.tobytes(),
+                forecast_summary(parse_forecasts_csv(directory / "f.csv")),
+            )
+        assert read["\ufeff"] == read[""]
+        assert read[""][0] == ("a", "b") and read[""][2][2] == [[0.5, 1.5]]
+
+    @pytest.mark.parametrize("bulk", [True, False])
+    @pytest.mark.parametrize(
+        "argv, header, row",
+        [
+            (["measure", "--kind", "mean"], "loss", "1.5"),
+            (VAR, "period,realized,var_forecast", "7,0.5,1.0"),
+        ],
+    )
+    @pytest.mark.parametrize("rows_before", [0, 4000])
+    def test_undecodable_csv_names_the_file(
+        self, tmp_path, monkeypatch, capsys, bulk, argv, header, row, rows_before
+    ):
+        # with no rows before it the bad byte is met as the header is read;
+        # after 4000 rows, past the first chunk the reader decodes, it is met
+        # inside the bulk pass, which leaves the file to the row loop
+        path = tmp_path / "in.csv"
+        path.write_bytes((f"{header}\n" + f"{row}\n" * rows_before).encode() + b"\xff\n")
+        tables = bulk_tables(monkeypatch)
+        if not bulk:
+            monkeypatch.setattr(cli, "_bulk_floats", lambda lines, columns: None)
+        assert main(argv + ["--input", str(path)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {
+            "type": "ParseError", "message": f"{path} is not UTF-8 text: invalid start byte"
+        }
+        assert [table is not None for table in tables] == ([False] if bulk and rows_before else [])
+
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_undecodable_scenario_file_names_the_file_and_its_row(
+        self, tmp_path, monkeypatch, capsys, bulk
+    ):
+        if not bulk:
+            monkeypatch.setattr(cli, "_bulk_floats", lambda lines, columns: None)
+        (tmp_path / "s.txt").write_bytes(b"0.5\n\xff\n")
+        path = write(tmp_path / "f.csv", "period,realized,scenario_file\n1,0.5,\n2,0.6,s.txt\n")
+        assert main(PIT + ["--input", path]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {
+            "type": "ParseError",
+            "message": "scenario file 's.txt' is not UTF-8 text: invalid start byte "
+            "(row 3, column 'scenario_file')",
+        }
 
 
 class TestMeasureCommand:

@@ -7,6 +7,7 @@ import math
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from tailrisk import DiscreteDistribution, LossPanel, es_contributions, expected
 from tailrisk import cli
 
 import oracles
+from test_cli import bulk_tables
 
 # derandomized so that every run checks the same examples
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -172,9 +174,12 @@ def test_panel_file_parses_to_the_values_written(tmp_path_factory, case):
     text, values = case
     path = tmp_path_factory.mktemp("panel") / "p.csv"
     path.write_bytes(text.encode())
-    _, bulk = cli._read_panel(path, bulk=True)
+    with pytest.MonkeyPatch.context() as patch:
+        tables = bulk_tables(patch)
+        rows = cli.parse_panel_csv(path).rows
+    bulk = tables[0].view(float).reshape(len(tables[0]), -1)  # every such file takes the pass
     assert bulk.shape == values.shape and bulk.tobytes() == values.tobytes()
-    assert cli.parse_panel_csv(path).rows.tobytes() == values.tobytes()
+    assert rows.tobytes() == values.tobytes()
 
 
 SCENARIOS = {"a.txt": [0.25, -1.5, 3.0], "b.txt": [1e-300, 2.5]}
@@ -217,12 +222,15 @@ def test_forecast_file_parses_to_the_values_written(tmp_path_factory, case):
     path = directory / "f.csv"
     path.write_bytes(text.encode())
     fits = all(-(2**63) <= p < 2**63 for p in periods)
-    bulk = cli._read_forecasts(path, bulk=True)
+    with pytest.MonkeyPatch.context() as patch:
+        tables = bulk_tables(patch)
+        parsed = cli.parse_forecasts_csv(path)
+        patch.setattr(cli, "_bulk_floats", lambda lines, columns: None)
+        loop = cli.parse_forecasts_csv(path)
     # the bulk pass reads every file without a blank cell or an int64 overflow
-    assert (bulk is not None) == (fits and not any(np.isnan(v).any() for v in columns.values()))
-    for forecasts in (bulk, cli.parse_forecasts_csv(path)):
-        if forecasts is None:
-            continue
+    blank = any(np.isnan(v).any() for v in columns.values())
+    assert [table is not None for table in tables] == [fits and not blank]
+    for forecasts in (parsed, loop):
         assert forecasts.periods == periods
         for name in ("realized", "var_forecast", "es_forecast"):
             read = getattr(forecasts, name)
