@@ -61,24 +61,24 @@ class LossPanel:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=float)
+        rows = np.array(self.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise ShapeMismatchError(f"rows must be a T x m matrix, got shape {rows.shape}")
-        if not np.isfinite(rows).all():
+        # argmin and argmax stop at the first NaN, and an infinity is one of them
+        if not all(map(math.isfinite, (rows.item(rows.argmin()), rows.item(rows.argmax())))):
             raise ValueError("losses must be finite")
         if len(self.positions) != rows.shape[1]:
             raise ShapeMismatchError(
                 f"{len(self.positions)} position names for {rows.shape[1]} columns"
             )
-        weights = np.asarray(self.weights, dtype=float).ravel()
+        weights = np.ravel(self.weights).astype(float)  # a copy that owns its data
         if weights.size != rows.shape[0]:
             raise ShapeMismatchError(f"{weights.size} weights for {rows.shape[0]} rows")
-        if not 0.0 < weights.min() <= weights.max() < math.inf:  # False on NaN
+        lo, hi = weights.item(weights.argmin()), weights.item(weights.argmax())
+        if not 0.0 < lo <= hi < math.inf:  # False on NaN
             raise ValueError("row weights must be positive and finite")
         if abs(math.fsum(weights.tolist()) - 1.0) > 1e-12:
             raise ValueError("row weights must sum to 1")
-        rows = rows.copy()
-        weights = weights.copy()
         rows.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "positions", tuple(self.positions))
@@ -110,7 +110,7 @@ class LossPanel:
         return self.rows.shape[1]
 
     def portfolio_losses(self) -> np.ndarray:
-        return self.rows.sum(axis=1)
+        return np.add.reduce(self.rows, axis=1)
 
     def portfolio_law(self) -> DiscreteDistribution:
         return DiscreteDistribution(self.portfolio_losses(), self.weights)

@@ -409,7 +409,8 @@ def pit_series(
 
     Randomization draws come from a generator seeded with ``rng_seed`` in row
     order, so results are bit-reproducible for a given seed. Rows sharing the
-    same scenario-set object reuse its empirical cdf.
+    same scenario-set object reuse its empirical cdf. Sets are held until the
+    call returns, so ids stay unique; a 2-D array's rows each get their own law.
     """
     losses = np.asarray(realizations, dtype=float).ravel()
     if len(scenario_sets) != losses.size:
@@ -417,15 +418,15 @@ def pit_series(
             f"{len(scenario_sets)} scenario sets but {losses.size} realizations"
         )
     rng = np.random.default_rng(rng_seed)
-    laws: dict[int, DiscreteDistribution] = {}
+    laws: dict[int, tuple[Sequence[float], DiscreteDistribution]] = {}
     z = np.empty(losses.size)
     for idx, (scenarios, x) in enumerate(zip(scenario_sets, losses)):
         if len(scenarios) == 0:
             raise EmptyScenarioSetError("scenario set must contain at least one value")
         key = id(scenarios)
-        law = laws.get(key)
-        if law is None:
-            law = laws[key] = DiscreteDistribution.from_sample(scenarios)
+        if key not in laws:
+            laws[key] = (scenarios, DiscreteDistribution.from_sample(scenarios))
+        law = laws[key][1]
         v = float(rng.uniform()) if randomized else 1.0
         z[idx] = _pit_value(law, float(x), v)
     return PitSeries(z=z, randomized=randomized, rng_seed=int(rng_seed) if randomized else None)
@@ -496,8 +497,8 @@ def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
     (stars and bars), as count arrays, in lexicographic order of the bars."""
     end = total + parts - 1
     for bars in itertools.combinations(range(end), parts - 1):
-        edges = np.array((-1, *bars, end))
-        yield edges[1:] - edges[:-1] - 1
+        edges = (-1, *bars, end)
+        yield np.array([b - a - 1 for a, b in zip(edges, edges[1:])])
 
 
 @dataclass(frozen=True, eq=False)
@@ -584,17 +585,8 @@ def find_var_superadditivity_example(
     a = level_value(alpha, LevelKind.QUANTILE)
     for v1, v2 in itertools.product(loss_values, repeat=2):
         for p1, p2 in itertools.product(tail_probabilities, repeat=2):
-            rows = np.array(
-                [[0.0, 0.0], [0.0, v2], [v1, 0.0], [v1, v2]]
-            )
-            weights = np.array(
-                [
-                    (1.0 - p1) * (1.0 - p2),
-                    (1.0 - p1) * p2,
-                    p1 * (1.0 - p2),
-                    p1 * p2,
-                ]
-            )
+            rows = [[0.0, 0.0], [0.0, v2], [v1, 0.0], [v1, v2]]
+            weights = [(1.0 - p1) * (1.0 - p2), (1.0 - p1) * p2, p1 * (1.0 - p2), p1 * p2]
             panel = LossPanel.from_rows(rows, weights=weights)
             var_sum = value_at_risk(panel.portfolio_law(), a)
             var_1 = value_at_risk(panel.column_law(0), a)
@@ -619,10 +611,20 @@ def enumerate_joint_panels(
     weight_denominator: int,
 ) -> Iterator[LossPanel]:
     """All joint laws of (L1, L2) on the atom grid with weights in multiples
-    of 1/weight_denominator, yielded as two-position panels (zero-weight grid
-    points are dropped)."""
+    of 1/weight_denominator, as two-position panels ``pos_1``, ``pos_2``
+    (zero-weight grid points are dropped).
+
+    A grid of k points has C(d + k - 1, k - 1) laws for denominator d: the
+    3x3 grid has C(d + 8, 8), 12,870 for d = 8. The call raises ValueError
+    unless d is an integer of at least 1 and both atom lists are non-empty.
+    """
+    d = weight_denominator
+    if not (isinstance(d, (int, np.integer)) and d >= 1):
+        raise ValueError(f"weight_denominator must be an integer of at least 1, got {d!r}")
     grid = np.array(list(itertools.product(atoms_a, atoms_b)), dtype=float)
-    denominator = int(weight_denominator)
-    for counts in _compositions(denominator, len(grid)):
-        keep = counts > 0
-        yield LossPanel.from_rows(grid[keep], weights=counts[keep] / denominator)
+    if grid.size == 0:
+        raise ValueError(f"the atom grid is empty: {len(atoms_a)} x {len(atoms_b)} atoms")
+    return (
+        LossPanel(("pos_1", "pos_2"), grid.compress(counts, axis=0), counts.compress(counts) / d)
+        for counts in _compositions(d, len(grid))
+    )

@@ -105,11 +105,10 @@ class DiscreteDistribution:
         if atoms.size == 0:
             raise EmptySampleError("a distribution needs at least one atom")
         if atoms.shape != weights.shape:
-            raise ShapeMismatchError(
-                f"{atoms.size} atoms but {weights.size} weights"
-            )
+            raise ShapeMismatchError(f"{atoms.size} atoms but {weights.size} weights")
         n = atoms.size
-        lo, hi = float(weights.min()), float(weights.max())  # NaN if any weight is
+        # NaN if any weight is: argmin and argmax stop at the first NaN
+        lo, hi = weights.item(weights.argmin()), weights.item(weights.argmax())
         # np.unique's sorts (np.sort to count, the default argsort to invert),
         # so the merge equals np.unique's bit for bit, down to which of 0.0
         # and -0.0 stands for their run
@@ -119,32 +118,34 @@ class DiscreteDistribution:
             perm = atoms.argsort()
             ordered = atoms[perm]
         # NaN sorts last, so the two ends decide the atoms' finiteness
-        finite = math.isfinite
-        if not (finite(ordered[0]) and finite(ordered[-1]) and finite(lo) and finite(hi)):
+        if not all(map(math.isfinite, (ordered.item(0), ordered.item(-1), lo, hi))):
             raise ValueError("atoms and weights must be finite")
         if not lo > 0.0:
             raise ValueError("all weights must be strictly positive")
-        first = np.empty(n, dtype=bool)  # the first atom of each run of equal atoms
-        first[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        merged_atoms = ordered[first]
+        # where each run of equal atoms starts, then n
+        edges = np.empty(n + 1, dtype=bool)
+        edges[0] = edges[n] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=edges[1:n])
+        bounds = edges.nonzero()[0]
+        merged_atoms = ordered[bounds[:-1]]
         if lo == hi:
             # equal weights: cumulative weights from integer atom counts, so
             # order-statistic boundaries like 95/100 are hit exactly at any size
-            bounds = np.append(first.nonzero()[0], n)  # where each run starts, then n
             merged_weights = (bounds[1:] - bounds[:-1]) / n
             cum = bounds[1:] / n
             total = lo * n  # the exact input sum, rounded once
         else:
+            # each atom's merged index, from 1, so that bin 0 stays empty
             inverse = np.empty(n, dtype=np.intp)
-            inverse[perm] = first.cumsum() - 1
-            merged_weights = np.bincount(inverse, weights=weights)
+            inverse[perm] = np.add.accumulate(edges[:n], dtype=np.intp)
+            merged_weights = np.bincount(inverse, weights=weights)[1:]
             # general weights: split w * 2^53 into whole parts, whose running
             # sum is exact in float while it stays within 2^53, and remainders
             # of at most 1/2, whose running sum drifts far below one unit
-            scaled = merged_weights * 2.0**53
-            whole = np.rint(scaled)
-            cum = (whole.cumsum() + (scaled - whole).cumsum()) / 2.0**53
+            rest = merged_weights * 2.0**53
+            whole = np.rint(rest)
+            rest -= whole
+            cum = (np.add.accumulate(whole) + np.add.accumulate(rest)) / 2.0**53
             cum[-1] = 1.0
             total = math.fsum(merged_weights.tolist())
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
@@ -172,8 +173,7 @@ class DiscreteDistribution:
     def quantile(self, u: float) -> float:
         """Left-continuous generalized inverse: the smallest atom whose
         cumulative weight reaches ``u``."""
-        idx = int(self.cum_weights.searchsorted(_check_level(u)))
-        return float(self.atoms[idx])
+        return self.atoms.item(self.cum_weights.searchsorted(_check_level(u)))
 
     def cdf(self, x: float) -> float:
         """P(L <= x)."""

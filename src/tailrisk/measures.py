@@ -136,8 +136,10 @@ def expected_shortfall(d: DiscreteDistribution, alpha: "Level | float") -> float
     """
     a = level_value(alpha, LevelKind.QUANTILE)
     # segment k is cum_k - max(cum_{k-1}, a) where cum_k >= a, and +0.0 below
-    edges = np.maximum(np.concatenate(([a], d.cum_weights)), a)
-    return float(np.dot(d.atoms, edges[1:] - edges[:-1])) / (1.0 - a)
+    edges = np.empty(d.atoms.size + 1)
+    edges[0] = a
+    np.maximum(d.cum_weights, a, out=edges[1:])
+    return float(np.dot(d.atoms, np.subtract(edges[1:], edges[:-1]))) / (1.0 - a)
 
 
 def expectile(d: DiscreteDistribution, tau: "Level | float") -> float:
@@ -152,23 +154,19 @@ def expectile(d: DiscreteDistribution, tau: "Level | float") -> float:
     tuning is involved; the result is exact up to floating-point rounding.
     """
     t = level_value(tau, LevelKind.EXPECTILE)
-    atoms = d.atoms
-    n = atoms.size
-    if n == 1:
-        return float(atoms[0])
-
-    weights = d.weights
-    cum_w = d.cum_weights
-    cum_aw = (atoms * weights).cumsum()
-    total_aw = float(cum_aw[-1])
+    at = d.atoms.item  # the bisection reads Python floats
+    cum_w = d.cum_weights.item
+    cum_aw = np.add.accumulate(d.atoms * d.weights).item
+    total_aw = cum_aw(-1)
 
     def imbalance_at_atom(k: int) -> float:
-        above = (total_aw - cum_aw[k]) - (1.0 - cum_w[k]) * atoms[k]
-        below = cum_w[k] * atoms[k] - cum_aw[k]
+        above = (total_aw - cum_aw(k)) - (1.0 - cum_w(k)) * at(k)
+        below = cum_w(k) * at(k) - cum_aw(k)
         return t * above - (1.0 - t) * below
 
-    # smallest atom index where the imbalance is <= 0; index 0 is always > 0
-    lo, hi = 0, n - 1
+    # smallest atom index where the imbalance is <= 0; index 0 is always > 0,
+    # but for a single atom, which either return below gives back
+    lo, hi = 0, d.atoms.size - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if imbalance_at_atom(mid) <= 0.0:
@@ -177,11 +175,11 @@ def expectile(d: DiscreteDistribution, tau: "Level | float") -> float:
             lo = mid
 
     if imbalance_at_atom(hi) == 0.0:
-        return float(atoms[hi])
+        return at(hi)
     # linear piece (atoms[lo], atoms[hi]): atoms up to lo sit below the root
-    num = t * (total_aw - cum_aw[lo]) + (1.0 - t) * cum_aw[lo]
-    den = t * (1.0 - cum_w[lo]) + (1.0 - t) * cum_w[lo]
-    return min(max(num / den, float(atoms[lo])), float(atoms[hi]))
+    num = t * (total_aw - cum_aw(lo)) + (1.0 - t) * cum_aw(lo)
+    den = t * (1.0 - cum_w(lo)) + (1.0 - t) * cum_w(lo)
+    return min(max(num / den, at(lo)), at(hi))
 
 
 def risk_adjusted_capital(d: DiscreteDistribution, kind: MeasureKind) -> float:

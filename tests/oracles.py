@@ -195,6 +195,36 @@ def es_by_clipped_segments(atoms, cum, alpha):
     return float(np.dot(atoms, seg)) / (1.0 - alpha)
 
 
+def expectile_by_bisection(atoms, weights, cum, tau):
+    """The tau-expectile by the package's first bisection kernel, kept here
+    as it was written, on numpy scalars: bisect over the atoms for the sign
+    change of the imbalance tau*E[(L-l)+] - (1-tau)*E[(l-L)+], then solve the
+    linear piece in closed form. A law's expectile must equal this bit for bit."""
+    n = atoms.size
+    if n == 1:
+        return float(atoms[0])
+    cum_aw = (atoms * weights).cumsum()
+    total_aw = float(cum_aw[-1])
+
+    def imbalance_at_atom(k):
+        above = (total_aw - cum_aw[k]) - (1.0 - cum[k]) * atoms[k]
+        below = cum[k] * atoms[k] - cum_aw[k]
+        return tau * above - (1.0 - tau) * below
+
+    lo, hi = 0, n - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if imbalance_at_atom(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    if imbalance_at_atom(hi) == 0.0:
+        return float(atoms[hi])
+    num = tau * (total_aw - cum_aw[lo]) + (1.0 - tau) * cum_aw[lo]
+    den = tau * (1.0 - cum[lo]) + (1.0 - tau) * cum[lo]
+    return min(max(num / den, float(atoms[lo])), float(atoms[hi]))
+
+
 def binomial_tails_exact(k, n, p):
     """P[X <= k] and P[X >= k] for X ~ Binomial(n, p): with p = a/d, the
     integers C(n, i) a^i (d - a)^(n - i) summed exactly, then divided by d^n

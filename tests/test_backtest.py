@@ -3,6 +3,7 @@ and the coherence counterexample searches."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -294,6 +295,45 @@ class TestPitTransform:
         with pytest.raises(ShapeMismatchError):
             pit_series([[1.0]], [1.0, 2.0], rng_seed=0)
 
+    SETS = [[1.0, 2.0, 3.0], [10.0, 20.0, 30.0], [100.0, 200.0, 300.0], [0.0, 0.5, 0.7]]
+    LOSSES = [2.5, 5.0, 250.0, 0.6]
+
+    def _row_by_row(self):
+        return [pit_transform(s, x, 1.0) for s, x in zip(self.SETS, self.LOSSES)]
+
+    def test_rows_of_a_2d_array_each_use_their_own_law(self):
+        # each row is a fresh view; a freed row's id must not find its law
+        series = pit_series(np.array(self.SETS), self.LOSSES, 7, randomized=False)
+        assert series.z.tolist() == self._row_by_row()
+
+    def test_lists_made_per_row_each_use_their_own_law(self):
+        class FreshLists:
+            """A sequence that builds a new list at every access."""
+
+            def __len__(self):
+                return len(TestPitTransform.SETS)
+
+            def __getitem__(self, i):
+                return [float(v) for v in TestPitTransform.SETS[i]]
+
+        series = pit_series(FreshLists(), self.LOSSES, 7, randomized=False)
+        assert series.z.tolist() == self._row_by_row()
+
+    def test_a_shared_list_builds_one_law(self, monkeypatch):
+        built = []
+        original = DiscreteDistribution.from_sample.__func__
+
+        def counting(cls, values):
+            built.append(values)
+            return original(cls, values)
+
+        monkeypatch.setattr(DiscreteDistribution, "from_sample", classmethod(counting))
+        shared = [1.0, 2.0, 3.0]
+        sets = [shared, list(shared), shared, shared]
+        series = pit_series(sets, [2.5, 2.5, 0.5, 3.0], 7, randomized=False)
+        assert series.z.tolist() == [2 / 3, 2 / 3, 0.0, 1.0]
+        assert len(built) == 2
+
 
 class TestPitUniformity:
     def test_concentrated_values_reject(self):
@@ -460,6 +500,27 @@ def test_enumerate_joint_panels_counts():
     assert len(panels) == 45
     for p in panels:
         assert abs(p.weights.sum() - 1.0) < 1e-12
+
+
+def test_enumerate_joint_panels_takes_integer_denominators():
+    assert len(list(enumerate_joint_panels((0, 1, 2), (0, 1, 2), np.int64(2)))) == 45
+    # a single grid point: one law for any denominator
+    assert [p.weights.tolist() for p in enumerate_joint_panels((1.0,), (2.0,), 3)] == [[1.0]]
+
+
+@pytest.mark.parametrize("denominator", [0, -1, 2.5, 2.0, "2", None])
+def test_enumerate_joint_panels_rejects_a_bad_denominator(denominator):
+    # raised by the call itself, before any panel is asked for
+    want = f"weight_denominator must be an integer of at least 1, got {denominator!r}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        enumerate_joint_panels((0, 1, 2), (0, 1, 2), denominator)
+
+
+@pytest.mark.parametrize("atoms_a, atoms_b", [((), (0, 1)), ((0, 1), ()), ((), ())])
+def test_enumerate_joint_panels_rejects_an_empty_grid(atoms_a, atoms_b):
+    want = f"the atom grid is empty: {len(atoms_a)} x {len(atoms_b)} atoms"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        enumerate_joint_panels(atoms_a, atoms_b, 2)
 
 
 @pytest.mark.parametrize("total, parts", [(0, 1), (4, 1), (0, 3), (5, 3), (2, 9), (3, 4)])

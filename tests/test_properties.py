@@ -1,7 +1,9 @@
 """Property tests over random laws and panels, with equal and unequal weights:
 construction against the ``np.unique`` merge, VaR and ES against the scan and
-tail-form oracles, and full ES allocation; and panel and forecast files that
-parse back to exactly the numbers written."""
+tail-form oracles, the expectile against the bisection reference, full ES
+allocation, and the paper's coherence and comonotone-additivity table on
+laws where every step is exact; and panel and forecast files that parse back
+to exactly the numbers written."""
 
 import math
 from collections import Counter
@@ -11,7 +13,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tailrisk import DiscreteDistribution, LossPanel, es_contributions, expected_shortfall, value_at_risk
+from tailrisk import (
+    ComonotonePair,
+    DiscreteDistribution,
+    LossPanel,
+    comonotone_sum,
+    es_contributions,
+    expected_shortfall,
+    expectile,
+    value_at_risk,
+)
 from tailrisk import cli
 
 import oracles
@@ -142,6 +153,72 @@ def test_es_contributions_sum_to_total(case):
     assert abs(result.total - math.fsum(result.contributions)) <= 1e-10 * max(1.0, abs(result.total))
     want = oracles.es_tail_form(atoms, weights, alpha, total)
     assert abs(result.total - want) <= _es_bound(atoms, alpha)
+
+
+@PROPERTY
+@given(laws(), st.one_of(st.just(0.5), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+def test_expectile_equals_bisection(case, tau):
+    law = case[0]
+    want = oracles.expectile_by_bisection(law.atoms, law.weights, law.cum_weights, tau)
+    assert expectile(law, tau).hex() == want.hex()
+
+
+# The property table with no slack: integer losses, weights k/2^j and levels
+# 1 - 2^-k make every cumulative weight, ES segment, dot product and the
+# division by 1 - alpha exact, so each identity must hold to the last bit.
+small_ints = st.integers(-20, 20)
+
+
+@st.composite
+def dyadic_weights(draw, t):
+    """t positive weights k/2^j that sum to one."""
+    j = draw(st.integers(max(1, (t - 1).bit_length()), 7))
+    cuts = draw(st.lists(st.integers(1, 2**j - 1), min_size=t - 1, max_size=t - 1, unique=True))
+    return np.diff([0, *sorted(cuts), 2**j]) / 2**j
+
+
+dyadic_levels = st.integers(1, 10).map(lambda k: 1.0 - 2.0**-k)
+
+
+@st.composite
+def dyadic_panels(draw):
+    """(panel of two integer positions with dyadic row weights, level)."""
+    t = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.tuples(small_ints, small_ints), min_size=t, max_size=t))
+    panel = LossPanel.from_rows(np.array(rows, dtype=float), weights=draw(dyadic_weights(t)))
+    return panel, draw(dyadic_levels)
+
+
+@st.composite
+def dyadic_comonotone_pairs(draw):
+    """(comonotone pair on an integer factor with dyadic weights, level)."""
+    atoms = sorted(draw(st.lists(small_ints, min_size=1, max_size=10, unique=True)))
+    k = len(atoms)
+    factor = DiscreteDistribution(np.array(atoms, dtype=float), draw(dyadic_weights(k)))
+    maps = st.lists(small_ints, min_size=k, max_size=k).map(lambda m: np.array(sorted(m), dtype=float))
+    pair = ComonotonePair(factor, draw(maps), draw(maps))
+    return pair, draw(dyadic_levels)
+
+
+@PROPERTY
+@given(dyadic_panels(), small_ints)
+def test_es_is_coherent_without_slack(case, offset):
+    panel, alpha = case
+    law1, law2, law_sum = panel.column_law(0), panel.column_law(1), panel.portfolio_law()
+    es = [expected_shortfall(law, alpha) for law in (law1, law2, law_sum)]
+    assert es[2] <= es[0] + es[1]
+    for law, value in zip((law1, law2, law_sum), es):
+        assert expected_shortfall(law.scale(2.0), alpha) == 2.0 * value
+        assert expected_shortfall(law.shift(offset), alpha) == value + offset
+
+
+@PROPERTY
+@given(dyadic_comonotone_pairs())
+def test_var_and_es_are_comonotone_additive_without_slack(case):
+    pair, alpha = case
+    law1, law2, law_sum = comonotone_sum(pair)
+    for measure in (value_at_risk, expected_shortfall):
+        assert measure(law_sum, alpha) == measure(law1, alpha) + measure(law2, alpha)
 
 
 # finite values whose row sums cannot overflow, written at full precision
