@@ -233,10 +233,6 @@ def _allocate(panel: LossPanel, kind: MeasureKind, law: DiscreteDistribution) ->
     return _KERNELS[kind.family](panel, kind.level.value, law)
 
 
-def _standalone_values(panel: LossPanel, kind: MeasureKind) -> list[float]:
-    return [evaluate(panel.column_law(i), kind) for i in range(panel.n_positions)]
-
-
 def _index(total: float, standalone: Sequence[float]) -> float:
     denominator = math.fsum(standalone)
     if denominator == 0.0:
@@ -270,7 +266,8 @@ def diversification_index(panel: LossPanel, kind: MeasureKind) -> float:
     1 when the positions are comonotone and the measure is comonotonically
     additive.
     """
-    return _index(evaluate(panel.portfolio_law(), kind), _standalone_values(panel, kind))
+    standalone = [evaluate(panel.column_law(i), kind) for i in range(panel.n_positions)]
+    return _index(evaluate(panel.portfolio_law(), kind), standalone)
 
 
 def marginal_diversification_index(panel: LossPanel, i: int, kind: MeasureKind) -> float:

@@ -377,26 +377,39 @@ class PitSeries:
         return self.z.size
 
 
-def _pit_value(law: DiscreteDistribution, realization: float, v: float) -> float:
-    # F(x-) + v * (F(x) - F(x-))
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"randomization draw must lie in [0, 1], got {v}")
-    lo = law.cdf_left(realization)
-    hi = law.cdf(realization)
+def _pit_values(scenario_sets: Sequence, x: np.ndarray, v: np.ndarray | float) -> np.ndarray:
+    """F(x-) + v * (F(x) - F(x-)) in each row, F the empirical cdf of its scenario set. Each
+    set object is checked and sorted once, in the order of first rows, and held until return."""
+    groups: dict[int, tuple[Sequence[float], list[int]]] = {}
+    for idx, scenarios in enumerate(scenario_sets):
+        groups.setdefault(id(scenarios), (scenarios, []))[1].append(idx)
+    below, upto, n = np.empty((3, x.size), dtype=np.intp)
+    for scenarios, rows in groups.values():
+        ordered = np.sort(np.asarray(scenarios, dtype=float), axis=None)
+        if len(scenarios) == 0 or ordered.size == 0:  # len() refuses a bare number
+            raise EmptyScenarioSetError("scenario set must contain at least one value")
+        if not all(map(math.isfinite, (ordered.item(0), ordered.item(-1)))):  # NaN sorts last
+            raise ValueError("atoms and weights must be finite")
+        rows = np.array(rows)
+        below[rows] = ordered.searchsorted(x[rows])
+        upto[rows] = ordered.searchsorted(x[rows], side="right")
+        n[rows] = ordered.size
+    lo, hi = below / n, upto / n
     return lo + v * (hi - lo)
 
 
 def pit_transform(scenario_set: Sequence[float], realization: float, v: float) -> float:
     """Randomized probability integral transform of one realization.
 
-    Builds the empirical cdf F of the scenario set and returns
+    With F the empirical cdf of the scenario set, returns
     F(x-) + v * (F(x) - F(x-)); the uniform draw ``v`` spreads the atom mass
     so that draws from the scenario distribution itself map to exact
     uniforms despite the discreteness of the forecast cdf.
     """
-    if len(scenario_set) == 0:
-        raise EmptyScenarioSetError("scenario set must contain at least one value")
-    return _pit_value(DiscreteDistribution.from_sample(scenario_set), realization, v)
+    z = _pit_values([scenario_set], np.array([realization], dtype=float), v)  # checks the set first
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"randomization draw must lie in [0, 1], got {v}")
+    return float(z[0])
 
 
 def pit_series(
@@ -408,9 +421,7 @@ def pit_series(
     """PIT values for aligned scenario forecasts and realizations.
 
     Randomization draws come from a generator seeded with ``rng_seed`` in row
-    order, so results are bit-reproducible for a given seed. Rows sharing the
-    same scenario-set object reuse its empirical cdf. Sets are held until the
-    call returns, so ids stay unique; a 2-D array's rows each get their own law.
+    order, so results are bit-reproducible for a given seed.
     """
     losses = np.asarray(realizations, dtype=float).ravel()
     if len(scenario_sets) != losses.size:
@@ -418,17 +429,8 @@ def pit_series(
             f"{len(scenario_sets)} scenario sets but {losses.size} realizations"
         )
     rng = np.random.default_rng(rng_seed)
-    laws: dict[int, tuple[Sequence[float], DiscreteDistribution]] = {}
-    z = np.empty(losses.size)
-    for idx, (scenarios, x) in enumerate(zip(scenario_sets, losses)):
-        if len(scenarios) == 0:
-            raise EmptyScenarioSetError("scenario set must contain at least one value")
-        key = id(scenarios)
-        if key not in laws:
-            laws[key] = (scenarios, DiscreteDistribution.from_sample(scenarios))
-        law = laws[key][1]
-        v = float(rng.uniform()) if randomized else 1.0
-        z[idx] = _pit_value(law, float(x), v)
+    v = rng.uniform(size=losses.size) if randomized else np.ones(losses.size)
+    z = _pit_values(scenario_sets, losses, v)
     return PitSeries(z=z, randomized=randomized, rng_seed=int(rng_seed) if randomized else None)
 
 
@@ -492,6 +494,12 @@ def pit_independence_test(
     return _make_result("pit-independence-portmanteau", worst_stat, combined, notes)
 
 
+def _denominator(d: int, least: int) -> int:
+    if not (isinstance(d, (int, np.integer)) and d >= least):
+        raise ValueError(f"weight_denominator must be an integer of at least {least}, got {d!r}")
+    return d
+
+
 def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
     """Every way to split ``total`` into ``parts`` non-negative integers
     (stars and bars), as count arrays, in lexicographic order of the bars."""
@@ -531,13 +539,12 @@ def find_expectile_comonotone_counterexample(
     t = level_value(tau, LevelKind.EXPECTILE)
     if not 0.5 < t < 1.0:
         raise ValueError(f"the search targets tau in (1/2, 1), got {t}")
-    if weight_denominator < 2:
-        raise ValueError(f"weight_denominator must be at least 2, got {weight_denominator}")
+    d = _denominator(weight_denominator, 2)
     atoms = np.asarray(factor_atoms, dtype=float)
     maps = list(itertools.combinations_with_replacement(sorted(map_values), atoms.size))
     # a positive split of d into k parts is a non-negative split of d - k, plus one each
-    for counts in _compositions(weight_denominator - atoms.size, atoms.size):
-        factor = DiscreteDistribution(atoms, (counts + 1) / weight_denominator)
+    for counts in _compositions(d - atoms.size, atoms.size):
+        factor = DiscreteDistribution(atoms, (counts + 1) / d)
         for f1 in maps:
             for f2 in maps:
                 pair = ComonotonePair(factor, np.asarray(f1), np.asarray(f2))
@@ -618,9 +625,7 @@ def enumerate_joint_panels(
     3x3 grid has C(d + 8, 8), 12,870 for d = 8. The call raises ValueError
     unless d is an integer of at least 1 and both atom lists are non-empty.
     """
-    d = weight_denominator
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
-        raise ValueError(f"weight_denominator must be an integer of at least 1, got {d!r}")
+    d = _denominator(weight_denominator, 1)
     grid = np.array(list(itertools.product(atoms_a, atoms_b)), dtype=float)
     if grid.size == 0:
         raise ValueError(f"the atom grid is empty: {len(atoms_a)} x {len(atoms_b)} atoms")

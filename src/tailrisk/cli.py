@@ -250,9 +250,10 @@ def parse_panel_csv(path: str | Path) -> LossPanel:
     return panel
 
 
-def _read_scenario_file(directory: Path, ref: str) -> list[float]:
-    """The values of scenario file ``ref``, one per non-blank line. An error
-    names the file as the forecast file wrote it."""
+def _read_scenario_file(directory: Path, ref: str) -> np.ndarray:
+    """The values of scenario file ``ref``, one per non-blank line, as a
+    read-only float array. An error names the file as the forecast file
+    wrote it."""
     path = directory / ref
     if not path.is_file():
         raise ParseError(f"dangling scenario reference {ref!r}")
@@ -267,17 +268,14 @@ def _read_scenario_file(directory: Path, ref: str) -> list[float]:
         values = np.array(cells, dtype=float)
     except ValueError:  # a cell float() rejects, which the loop below names
         values = None
-    if values is not None and np.isfinite(values).all():
-        return values.tolist()
-
-    def locate(i: int) -> tuple:
-        line_no = [n for n, line in enumerate(lines, start=1) if line.strip()][i]
-        return None, None, f" in {path.name} line {line_no}"
-
-    return _finite_floats(cells, locate)
+    if values is None or not np.isfinite(values).all():
+        line_nos = [n for n, line in enumerate(lines, start=1) if line.strip()]
+        _finite_floats(cells, lambda i: (None, None, f" in {path.name} line {line_nos[i]}"))
+    values.setflags(write=False)
+    return values
 
 
-def _scenario_sets(path: Path, refs: Sequence[str]) -> list[list[float] | None]:
+def _scenario_sets(path: Path, refs: Sequence[str]) -> list[np.ndarray | None]:
     """The scenario set of each reference of forecast file ``path``, a blank
     one having none. Each distinct file is read once; an error in one is
     placed at the line of the first record naming it, found only then."""
@@ -304,12 +302,12 @@ class ForecastColumns:
     var_forecast: np.ndarray | None
     es_forecast: np.ndarray | None
     quantiles: np.ndarray
-    scenario_sets: list[list[float] | None] | None
+    scenario_sets: list[np.ndarray | None] | None
 
     def __len__(self) -> int:
         return len(self.periods)
 
-    def column(self, name: str) -> np.ndarray | list[list[float]]:
+    def column(self, name: str) -> np.ndarray | list[np.ndarray]:
         """The column ``name``, which must have a value in every period."""
         values = getattr(self, name)
         if values is None:

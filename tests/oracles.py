@@ -225,6 +225,28 @@ def expectile_by_bisection(atoms, weights, cum, tau):
     return min(max(num / den, float(atoms[lo])), float(atoms[hi]))
 
 
+def pit_by_law(scenario_sets, realizations, rng_seed, randomized=True):
+    """PIT values by the package's first kernel, kept here as it was written:
+    the empirical law of each row's set by ``from_sample``, one law per set
+    object, then F(x-) + v * (F(x) - F(x-)) from ``cdf_left`` and ``cdf`` with
+    one scalar draw per row. ``pit_series`` must equal this bit for bit."""
+    from tailrisk import DiscreteDistribution, EmptyScenarioSetError
+
+    rng = np.random.default_rng(rng_seed)
+    laws = {}
+    z = []
+    for scenarios, x in zip(scenario_sets, np.asarray(realizations, dtype=float).ravel()):
+        if len(scenarios) == 0:
+            raise EmptyScenarioSetError("scenario set must contain at least one value")
+        if id(scenarios) not in laws:
+            laws[id(scenarios)] = (scenarios, DiscreteDistribution.from_sample(scenarios))
+        law = laws[id(scenarios)][1]
+        v = float(rng.uniform()) if randomized else 1.0
+        lo, hi = law.cdf_left(float(x)), law.cdf(float(x))
+        z.append(lo + v * (hi - lo))
+    return np.array(z)
+
+
 def binomial_tails_exact(k, n, p):
     """P[X <= k] and P[X >= k] for X ~ Binomial(n, p): with p = a/d, the
     integers C(n, i) a^i (d - a)^(n - i) summed exactly, then divided by d^n

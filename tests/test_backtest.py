@@ -14,6 +14,7 @@ from scipy import stats
 from tailrisk import (
     CounterexampleNotFoundError,
     DiscreteDistribution,
+    EmptyScenarioSetError,
     InsufficientDataError,
     Level,
     PitSeries,
@@ -319,20 +320,52 @@ class TestPitTransform:
         series = pit_series(FreshLists(), self.LOSSES, 7, randomized=False)
         assert series.z.tolist() == self._row_by_row()
 
-    def test_a_shared_list_builds_one_law(self, monkeypatch):
-        built = []
-        original = DiscreteDistribution.from_sample.__func__
+    def test_a_shared_set_is_converted_and_sorted_once(self, monkeypatch):
+        class Counted:
+            """A scenario set that counts its conversions to an array."""
 
-        def counting(cls, values):
-            built.append(values)
-            return original(cls, values)
+            def __init__(self, values):
+                self.values, self.conversions = values, 0
 
-        monkeypatch.setattr(DiscreteDistribution, "from_sample", classmethod(counting))
-        shared = [1.0, 2.0, 3.0]
-        sets = [shared, list(shared), shared, shared]
-        series = pit_series(sets, [2.5, 2.5, 0.5, 3.0], 7, randomized=False)
+            def __len__(self):
+                return len(self.values)
+
+            def __array__(self, dtype=None, copy=None):
+                self.conversions += 1
+                return np.array(self.values, dtype=dtype)
+
+        sorted_sets, sort = [], np.sort
+        monkeypatch.setattr(np, "sort", lambda a, **kw: sorted_sets.append(a.tolist()) or sort(a, **kw))
+        shared, other = Counted([3.0, 1.0, 2.0]), Counted([2.0, 1.0, 3.0])
+        series = pit_series([shared, other, shared, shared], [2.5, 2.5, 0.5, 3.0], 7, randomized=False)
         assert series.z.tolist() == [2 / 3, 2 / 3, 0.0, 1.0]
-        assert len(built) == 2
+        assert (shared.conversions, other.conversions) == (1, 1)
+        assert sorted_sets == [[3.0, 1.0, 2.0], [2.0, 1.0, 3.0]]
+
+    # the first faulty row raises, whichever fault comes after it
+    @pytest.mark.parametrize(
+        "sets, error, message",
+        [
+            ([[1.0, math.inf], [2.0], []], ValueError, "atoms and weights must be finite"),
+            ([[], [2.0], [math.nan, 1.0]], EmptyScenarioSetError, "at least one value"),
+        ],
+    )
+    def test_the_first_faulty_row_raises(self, sets, error, message):
+        sets = [sets[0], *sets, sets[-1]]  # each faulty set also on a later row
+        for pit in (pit_series, oracles.pit_by_law):
+            with pytest.raises(error, match=message):
+                pit(sets, [1.0] * len(sets), 7)
+
+    def test_a_bare_number_is_not_a_set(self):
+        with pytest.raises(TypeError):
+            pit_series([1.0, 2.0], [1.0, 2.0], 7)
+
+    def test_a_draw_outside_the_unit_interval_is_rejected(self):
+        with pytest.raises(ValueError, match="randomization draw"):
+            pit_transform([1.0, 2.0], 1.5, 1.5)
+        # the set is checked first
+        with pytest.raises(EmptyScenarioSetError):
+            pit_transform([], 1.5, 1.5)
 
 
 class TestPitUniformity:
@@ -440,10 +473,24 @@ class TestExpectileComonotoneSearch:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("denominator", [0, -3])
     def test_weight_denominator_below_two_is_rejected(self, denominator):
-        with pytest.raises(ValueError, match="weight_denominator must be at least 2"):
+        want = f"weight_denominator must be an integer of at least 2, got {denominator!r}"
+        with pytest.raises(ValueError, match=re.escape(want)):
             find_expectile_comonotone_counterexample(
                 0.8, factor_atoms=(0.0,), map_values=(0.0, 1.0), weight_denominator=denominator
             )
+
+    # one that is not an integer would otherwise fail inside range()
+    @pytest.mark.parametrize("denominator", [2.5, 8.0, "8", np.float64(8.0), None])
+    def test_weight_denominator_must_be_an_integer(self, denominator):
+        want = f"weight_denominator must be an integer of at least 2, got {denominator!r}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            find_expectile_comonotone_counterexample(0.8, weight_denominator=denominator)
+
+    def test_weight_denominator_takes_a_numpy_integer(self):
+        found = find_expectile_comonotone_counterexample(0.8, weight_denominator=np.int64(3))
+        want = find_expectile_comonotone_counterexample(0.8, weight_denominator=3)
+        assert found.pair.factor.weights.tobytes() == want.pair.factor.weights.tobytes()
+        assert found.gap == want.gap
 
 
 class TestVarSuperadditivitySearch:

@@ -124,7 +124,7 @@ class TestParseForecastsCsv:
             "period,realized,scenario_file\n1,2.5,s1.txt\n",
         )
         forecasts = parse_forecasts_csv(path)
-        assert forecasts.column("scenario_sets") == [[1.0, 2.0, 3.0]]
+        assert set_bits(forecasts.column("scenario_sets")) == set_bits([np.array([1.0, 2.0, 3.0])])
 
     def test_header_names_are_stripped(self, tmp_path):
         path = write(tmp_path / "f.csv", "period, realized ,var_forecast\n1,0.5,1.0\n")
@@ -251,7 +251,11 @@ class TestParseForecastsCsv:
         )
         forecasts = parse_forecasts_csv(path)
         assert reads == ["s1.txt", "s2.txt"]
-        assert forecasts.scenario_sets == [[1.0, 2.0], [3.0], [1.0, 2.0], None]
+        s1, s2 = np.array([1.0, 2.0]), np.array([3.0])
+        assert set_bits(forecasts.scenario_sets) == set_bits([s1, s2, s1, None])
+        # one read-only array per distinct file, shared by the rows naming it
+        assert forecasts.scenario_sets[0] is forecasts.scenario_sets[2]
+        assert not forecasts.scenario_sets[0].flags.writeable
 
     def test_trusted_file_with_references_is_opened_once(self, tmp_path, monkeypatch):
         # the references come from the bulk pass's table, not a second csv pass
@@ -260,7 +264,8 @@ class TestParseForecastsCsv:
         monkeypatch.setattr(cli, "_open_csv", lambda path: opened.append(path) or open_csv(path))
         forecasts = parse_forecasts_csv(path)
         assert opened == [path]
-        assert forecasts.scenario_sets == [[0.1, 0.2], [1.0, 2.0, 3.0]]
+        want = [np.array([0.1, 0.2]), np.array([1.0, 2.0, 3.0])]
+        assert set_bits(forecasts.scenario_sets) == set_bits(want)
 
     @pytest.mark.parametrize(
         "text, row, column",
@@ -455,11 +460,18 @@ def forecast_file(directory, text):
     return path
 
 
+def set_bits(sets):
+    """Each scenario set's dtype and bytes, a blank one ``None``: stricter
+    than comparing lists with ``==``, which equates 0.0 and -0.0."""
+    return None if sets is None else [None if s is None else (s.dtype, s.tobytes()) for s in sets]
+
+
 def forecast_summary(forecasts):
     """Everything a ForecastColumns holds, bit for bit."""
     f = forecasts
     arrays = (f.realized, f.var_forecast, f.es_forecast, f.quantiles)
-    return f.periods, [None if a is None else (a.shape, a.tobytes()) for a in arrays], f.scenario_sets
+    shaped = [None if a is None else (a.shape, a.tobytes()) for a in arrays]
+    return f.periods, shaped, set_bits(f.scenario_sets)
 
 
 def forecast_outcome(path, capsys):
@@ -595,7 +607,7 @@ class TestEncoding:
                 forecast_summary(parse_forecasts_csv(directory / "f.csv")),
             )
         assert read["\ufeff"] == read[""]
-        assert read[""][0] == ("a", "b") and read[""][2][2] == [[0.5, 1.5]]
+        assert read[""][0] == ("a", "b") and read[""][2][2] == set_bits([np.array([0.5, 1.5])])
 
     @pytest.mark.parametrize("bulk", [True, False])
     @pytest.mark.parametrize(

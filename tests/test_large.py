@@ -1,12 +1,14 @@
 """Regression tests at the sizes the package is fed: panels of 10^5 and 10^6
-rows, with equal and with unequal row weights. Measures and allocations must
-stay exact here, not only on test-sized inputs, and the CLI must keep its exit
-contract."""
+rows, with equal and with unequal row weights, and a forecast of 2000 periods
+of 250 scenarios. Measures and allocations must stay exact here, not only on
+test-sized inputs, the CLI must keep its exit contract, and a PIT backtest
+must hold little more than its scenario values."""
 
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +21,10 @@ from tailrisk import (
     expectile,
     expectile_contributions,
     expected_shortfall,
+    pit_series,
     value_at_risk,
 )
-from tailrisk.cli import main
+from tailrisk.cli import main, parse_forecasts_csv
 
 import oracles
 
@@ -115,3 +118,25 @@ def test_cli_allocate_without_assertions(tmp_path):
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)["results"]
     assert results["total"] == pytest.approx(oracles.es_of_sample(rows.sum(axis=1), 0.99), rel=1e-11)
+
+
+def test_pit_on_a_long_forecast_holds_little_beyond_its_scenarios(tmp_path):
+    t, k = 2000, 250
+    rng = np.random.default_rng(0)
+    scenarios = rng.standard_normal((t, k))
+    realized = rng.standard_normal(t)
+    lines = ["period,realized,scenario_file"]
+    for i, (values, x) in enumerate(zip(scenarios.tolist(), realized.tolist())):
+        (tmp_path / f"s{i}.txt").write_text("\n".join(map(repr, values)) + "\n")
+        lines.append(f"{i + 1},{x!r},s{i}.txt")
+    (tmp_path / "f.csv").write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        forecasts = parse_forecasts_csv(tmp_path / "f.csv")
+        series = pit_series(forecasts.column("scenario_sets"), forecasts.column("realized"), 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the scenario values take 8 bytes each, 4 MB; a law per period took 28.8 MB
+    assert peak <= 2.5 * scenarios.nbytes
+    assert series.z.tobytes() == pit_series(scenarios, realized, 7).z.tobytes()
