@@ -272,6 +272,8 @@ def diversification_index(panel: LossPanel, kind: MeasureKind) -> float:
 
 def marginal_diversification_index(panel: LossPanel, i: int, kind: MeasureKind) -> float:
     """Euler contribution of position ``i`` divided by its standalone measure."""
+    if not 0 <= i < panel.n_positions:
+        raise IndexError(f"position i = {i} must lie in [0, m) for m = {panel.n_positions} positions")
     allocation = _allocate(panel, kind, panel.portfolio_law())
     standalone = evaluate(panel.column_law(i), kind)
     return _marginal_index(allocation.contributions[i], standalone, i)

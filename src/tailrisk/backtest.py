@@ -44,6 +44,7 @@ from .distribution import (
     DiscreteDistribution,
     Level,
     LevelKind,
+    _check_integer,
     comonotone_sum,
     level_value,
 )
@@ -436,8 +437,7 @@ def pit_series(
 
 def pit_uniformity_test(p: PitSeries, bins: int = 10) -> TestResult:
     """Pearson chi-square test of the PIT values against equal bin probabilities."""
-    if bins < 2:
-        raise ValueError(f"need at least 2 bins, got {bins}")
+    bins = _check_integer(bins, "bins", 2)
     t = len(p)
     if t < 5 * bins:
         raise InsufficientDataError(
@@ -455,8 +455,7 @@ def pit_independence_test(
 ) -> TestResult:
     """Portmanteau (Ljung-Box) test on autocorrelations of the PIT values and
     their low integer powers, Bonferroni-combined across powers."""
-    if max_lag < 1:
-        raise ValueError(f"max_lag must be at least 1, got {max_lag}")
+    max_lag = _check_integer(max_lag, "max_lag", 1)
     if len(powers) == 0:
         raise ValueError("need at least one power")
     t = len(p)
@@ -492,12 +491,6 @@ def pit_independence_test(
         )
     combined = min(1.0, len(powers) * worst_p)
     return _make_result("pit-independence-portmanteau", worst_stat, combined, notes)
-
-
-def _denominator(d: int, least: int) -> int:
-    if not (isinstance(d, (int, np.integer)) and d >= least):
-        raise ValueError(f"weight_denominator must be an integer of at least {least}, got {d!r}")
-    return d
 
 
 def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
@@ -539,7 +532,7 @@ def find_expectile_comonotone_counterexample(
     t = level_value(tau, LevelKind.EXPECTILE)
     if not 0.5 < t < 1.0:
         raise ValueError(f"the search targets tau in (1/2, 1), got {t}")
-    d = _denominator(weight_denominator, 2)
+    d = _check_integer(weight_denominator, "weight_denominator", 2)
     atoms = np.asarray(factor_atoms, dtype=float)
     maps = list(itertools.combinations_with_replacement(sorted(map_values), atoms.size))
     # a positive split of d into k parts is a non-negative split of d - k, plus one each
@@ -625,7 +618,7 @@ def enumerate_joint_panels(
     3x3 grid has C(d + 8, 8), 12,870 for d = 8. The call raises ValueError
     unless d is an integer of at least 1 and both atom lists are non-empty.
     """
-    d = _denominator(weight_denominator, 1)
+    d = _check_integer(weight_denominator, "weight_denominator", 1)
     grid = np.array(list(itertools.product(atoms_a, atoms_b)), dtype=float)
     if grid.size == 0:
         raise ValueError(f"the atom grid is empty: {len(atoms_a)} x {len(atoms_b)} atoms")

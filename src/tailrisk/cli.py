@@ -17,7 +17,6 @@ import encodings.utf_8_sig  # noqa: F401  every input's codec, loaded with the m
 import itertools
 import json
 import math
-import os
 import re
 import sys
 from contextlib import contextmanager
@@ -56,8 +55,6 @@ from .scoring import (
     mean_score,
     two_step_es_forecast,
 )
-
-SEED_ENV_VAR = "TAILRISK_SEED"
 
 # each choice is a name that MeasureKind.named / ScoringFunction.named takes
 _MEASURE_CHOICES = tuple(family.value for family in MeasureFamily)
@@ -100,8 +97,12 @@ class RunConfig:
                 raise ValueError(f"--{flag} is required for this command")
         if self.command == "elicit" and not self.two_step and self.score is None:
             raise ValueError("--score is required (or use --two-step)")
-        if self.two_step and self.level is None:
-            raise ValueError("--two-step requires --level")
+        if self.two_step:
+            if self.level is None:
+                raise ValueError("--two-step requires --level")
+            for flag in ("score", "threshold"):
+                if getattr(self, flag) is not None:
+                    raise ValueError(f"--two-step takes no --{flag}")
 
 
 @contextmanager
@@ -504,8 +505,9 @@ def _run_backtest_var(config: RunConfig, warnings: list[str]) -> dict:
 def _run_backtest_es(config: RunConfig, warnings: list[str]) -> dict:
     """multi-quantile expected-shortfall backtest"""
     forecasts = parse_forecasts_csv(config.input)
-    if not forecasts.quantiles.shape[1]:
-        raise ParseError("backtest-es needs supporting-quantile columns q1..qK")
+    if not 2 <= forecasts.quantiles.shape[1] <= 16:
+        raise ParseError(f"backtest-es needs 2 to 16 supporting-quantile columns q1..qK, "
+                         f"found {forecasts.quantiles.shape[1]}")
     es_series, realized = forecasts.column("es_forecast"), forecasts.column("realized")
     result = es_quantile_backtest(
         es_series, forecasts.quantiles.T, realized, config.level, config.significance
@@ -621,7 +623,7 @@ _FLAGS = {
 
 class _Command(NamedTuple):
     run: Callable[[RunConfig, list[str]], dict]  # its docstring is the --help line
-    flags: tuple[str, ...]  # after --input, --output and --seed
+    flags: tuple[str, ...]  # after --input and --output
     required: tuple[str, ...] = ()
     choices: dict[str, tuple[str, ...]] | None = None  # in place of the flag's own
 
@@ -635,7 +637,7 @@ _COMMANDS = {
     "diversify": _Command(_run_diversify, ("kind", "level"), ("kind",)),
     "backtest-var": _Command(_run_backtest_var, ("level", "significance"), ("level",)),
     "backtest-es": _Command(_run_backtest_es, ("level", "significance"), ("level",)),
-    "backtest-pit": _Command(_run_backtest_pit, ("bins", "max-lag")),
+    "backtest-pit": _Command(_run_backtest_pit, ("seed", "bins", "max-lag")),
     "elicit": _Command(_run_elicit, ("score", "level", "threshold", "two-step")),
     "counterexample": _Command(
         _run_counterexample, ("search", "level", "weight-denominator"), ("search", "level")
@@ -681,7 +683,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.run.__doc__)
-        for flag in ("input", "output", "seed", *command.flags):
+        for flag in ("input", "output", *command.flags):
             spec = dict(_FLAGS[flag])
             if flag in command.required:
                 spec["required"] = True
@@ -691,23 +693,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR, "").strip()
-    if not raw:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Flags left unset take the :class:`RunConfig` defaults; the seed
-    defaults to ``TAILRISK_SEED``, then 0."""
-    values = {name: value for name, value in vars(args).items() if value is not None}
-    if "seed" not in values:
-        values["seed"] = _default_seed()
-    return RunConfig(**values)
+    """Flags left unset take the :class:`RunConfig` defaults."""
+    return RunConfig(**{name: value for name, value in vars(args).items() if value is not None})
 
 
 def _report_error(exc: Exception, code: int) -> int:

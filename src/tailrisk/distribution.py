@@ -73,6 +73,15 @@ def _check_level(value: float) -> float:
     return value
 
 
+def _check_integer(value: int, name: str, least: int, most: float = math.inf) -> int:
+    """``value`` as an int, if it is an integer from ``least`` to ``most``;
+    a float is refused even when it is whole."""
+    if not (isinstance(value, (int, np.integer)) and least <= value <= most):
+        span = f"of at least {least}" if most == math.inf else f"from {least} to {most}"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
 def level_value(level: "Level | float", kind: LevelKind) -> float:
     """Return the float value of a level of role ``kind``.
 

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distribution import DiscreteDistribution, Level, LevelKind, level_value
+from .distribution import DiscreteDistribution, Level, LevelKind, _check_integer, level_value
 
 __all__ = [
     "MeasureFamily",
@@ -99,11 +99,11 @@ class MeasureKind:
 
     @classmethod
     def named(cls, name: str, level: float | None = None) -> "MeasureKind":
-        """The measure of the family whose value is ``name``, at ``level`` if
-        the family takes one; a family that takes none ignores ``level``."""
+        """The measure of the family whose value is ``name``, at ``level``; the
+        constructor refuses a level the family does not take, or lacks."""
         family = MeasureFamily(name)
         wanted = _LEVEL_KIND_BY_FAMILY.get(family)
-        return cls(family, None if wanted is None or level is None else Level(float(level), wanted))
+        return cls(family, level if wanted is None or level is None else Level(float(level), wanted))
 
     @property
     def label(self) -> str:
@@ -219,6 +219,5 @@ def supporting_levels(alpha: "Level | float", points: int = 4) -> tuple[float, .
     2 <= points <= 16, whose quantiles approximate expected shortfall at
     ``alpha``; ``points = 4`` gives the usual four supporting quantiles."""
     a = level_value(alpha, LevelKind.QUANTILE)
-    if not 2 <= points <= 16:
-        raise ValueError(f"need between 2 and 16 supporting quantile levels, got {points}")
+    points = _check_integer(points, "points", 2, 16)
     return tuple(a + k * (1.0 - a) / points for k in range(points))

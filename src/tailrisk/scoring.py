@@ -88,10 +88,8 @@ class ScoringFunction:
         cls, name: str, level: float | None = None, threshold: float | None = None
     ) -> "ScoringFunction":
         """The score of the kind whose value is ``name``, given the parameter
-        that kind takes; a parameter it does not take is ignored."""
-        kind = ScoreKind(name)
-        given = {"level": level, "threshold": threshold}
-        return cls(kind, **{p: v for p, v in given.items() if p == _PARAMETER_BY_KIND.get(kind)})
+        that kind takes; the constructor refuses a parameter it does not take."""
+        return cls(ScoreKind(name), level, threshold)
 
     @classmethod
     def squared_error(cls) -> "ScoringFunction":

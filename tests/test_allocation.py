@@ -254,6 +254,20 @@ class TestMarginalDiversificationIndex:
         with pytest.raises(DegenerateDenominatorError):
             marginal_diversification_index(p, 0, MeasureKind.es(0.6))
 
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_position_outside_the_panel_raises(self, i):
+        p = bernoulli_product_panel()
+        want = f"position i = {i} must lie in [0, m) for m = 2 positions"
+        with pytest.raises(IndexError) as caught:
+            marginal_diversification_index(p, i, MeasureKind.es(0.5))
+        assert str(caught.value) == want
+
+    def test_last_position(self):
+        # the panel is symmetric in its two positions, so both indices are 0.75
+        p = bernoulli_product_panel()
+        got = marginal_diversification_index(p, p.n_positions - 1, MeasureKind.es(0.5))
+        assert got == pytest.approx(0.75, abs=1e-12)
+
     def test_scaling_up_low_marginal_position_reduces_index(self):
         # if a position's marginal index is below the portfolio index, growing
         # that position by a small factor must pull the portfolio index down

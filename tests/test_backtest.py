@@ -563,6 +563,34 @@ def test_enumerate_joint_panels_rejects_a_bad_denominator(denominator):
         enumerate_joint_panels((0, 1, 2), (0, 1, 2), denominator)
 
 
+# each integer argument, its range, and a call that takes it: one check names it
+INTEGER_ARGUMENTS = [
+    ("bins", "of at least 2", lambda n: pit_uniformity_test(
+        PitSeries(np.linspace(0.0, 1.0, 40), randomized=False, rng_seed=None), bins=n)),
+    ("max_lag", "of at least 1", lambda n: pit_independence_test(
+        PitSeries(np.linspace(0.0, 1.0, 40) ** 2, randomized=False, rng_seed=None), max_lag=n)),
+    ("points", "from 2 to 16", lambda n: supporting_levels(0.9, n)),
+    ("points", "from 2 to 16", lambda n: es_quantile_approximation(
+        DiscreteDistribution.from_sample(range(1, 101)), 0.9, n)),
+    ("weight_denominator", "of at least 2", lambda n: find_expectile_comonotone_counterexample(
+        0.8, weight_denominator=n).gap),
+]
+INTEGER_IDS = ["bins", "max_lag", "supporting_levels", "es_quantile_approximation", "weight_denominator"]
+
+
+@pytest.mark.parametrize("value", [2.5, 4.0, None, "4"])
+@pytest.mark.parametrize("name, span, call", INTEGER_ARGUMENTS, ids=INTEGER_IDS)
+def test_an_integer_argument_refuses_any_other_value(name, span, call, value):
+    with pytest.raises(ValueError) as caught:
+        call(value)
+    assert str(caught.value) == f"{name} must be an integer {span}, got {value!r}"
+
+
+@pytest.mark.parametrize("name, span, call", INTEGER_ARGUMENTS, ids=INTEGER_IDS)
+def test_an_integer_argument_takes_a_numpy_integer(name, span, call):
+    assert call(np.int64(4)) == call(4)
+
+
 @pytest.mark.parametrize("atoms_a, atoms_b", [((), (0, 1)), ((0, 1), ()), ((), ())])
 def test_enumerate_joint_panels_rejects_an_empty_grid(atoms_a, atoms_b):
     want = f"the atom grid is empty: {len(atoms_a)} x {len(atoms_b)} atoms"

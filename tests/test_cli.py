@@ -796,11 +796,15 @@ class TestBacktestEsCommand:
         assert isinstance(report["results"]["passed"], bool)
         assert len(report["results"]["coverage"]) == 4
 
-    def test_missing_quantile_columns(self, tmp_path):
-        path = write(
-            tmp_path / "f.csv", "period,realized,es_forecast\n1,0.5,1.0\n"
-        )
+    @pytest.mark.parametrize("k", [0, 1, 17])
+    def test_quantile_column_count_outside_2_to_16(self, tmp_path, capsys, k):
+        header = ",".join(["period", "realized", "es_forecast"] + [f"q{j}" for j in range(1, k + 1)])
+        path = write(tmp_path / "f.csv", header + "\n1,0.5,1.0" + ",1" * k + "\n")
         assert main(["backtest-es", "--input", path, "--level", "0.9"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ParseError",
+            "message": f"backtest-es needs 2 to 16 supporting-quantile columns q1..qK, found {k}",
+        }
 
 
 class TestBacktestPitCommand:
@@ -1040,6 +1044,34 @@ class TestCliContract:
             "message": "expectile contributions require tau >= 1/2, got 0.3",
         }
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (VAR + ["--significance", "0"], "--significance must lie in (0, 0.5], got 0.0"),
+            (VAR + ["--significance", "0.6"], "--significance must lie in (0, 0.5], got 0.6"),
+            (ES + ["--significance", "-0.1"], "--significance must lie in (0, 0.5], got -0.1"),
+            (PIT + ["--bins", "1"], "--bins must be at least 2, got 1"),
+            (PIT + ["--max-lag", "0"], "--max-lag must be at least 1, got 0"),
+            (["measure", "--kind", "mean", "--level", "0.9"], "mean takes no level"),
+            (["diversify", "--kind", "variance", "--level", "0.9"], "variance takes no level"),
+            (["elicit", "--score", "squared-error", "--level", "0.9"], "squared-error takes no level"),
+            (["elicit", "--score", "tail-mean", "--threshold", "1", "--level", "0.9"],
+             "tail-mean takes no level"),
+            (["elicit", "--score", "weighted-absolute-error", "--level", "0.9", "--threshold", "1"],
+             "weighted-absolute-error takes no threshold"),
+            (["elicit", "--two-step", "--level", "0.95", "--score", "squared-error"],
+             "--two-step takes no --score"),
+            (["elicit", "--two-step", "--level", "0.95", "--threshold", "1"],
+             "--two-step takes no --threshold"),
+        ],
+    )
+    def test_a_flag_is_checked_before_the_input(self, tmp_path, capsys, argv, message):
+        # a flag out of range, or one the command would not use, is refused
+        # before the nonexistent input is looked for
+        assert main(argv + ["--input", str(tmp_path / "nope.csv")]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError", "message": message}
+
     def test_missing_input_exits_two(self, tmp_path):
         assert main(
             ["measure", "--input", str(tmp_path / "nope.csv"), "--kind", "mean"]
@@ -1053,20 +1085,6 @@ class TestCliContract:
         first = out.read_bytes()
         assert main(args) == 0
         assert out.read_bytes() == first
-
-    def test_seed_env_override(self, tmp_path, monkeypatch, capsys):
-        rng = np.random.default_rng(4)
-        scen = rng.normal(size=100)
-        write(tmp_path / "scen.txt", "\n".join(str(v) for v in scen) + "\n")
-        rows = ["period,realized,scenario_file"]
-        for i in range(60):
-            rows.append(f"{i},{rng.choice(scen)},scen.txt")
-        path = write(tmp_path / "f.csv", "\n".join(rows) + "\n")
-        monkeypatch.setenv("TAILRISK_SEED", "99")
-        code = main(["backtest-pit", "--input", path, "--bins", "2", "--max-lag", "2"])
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["config"]["seed"] == 99
 
     def test_version_in_report(self, uniform_panel, capsys):
         import tailrisk
@@ -1082,3 +1100,66 @@ class TestCliContract:
         assert cfg["command"] == "measure"
         assert cfg["input"] == uniform_panel
         assert cfg["kind"] == "var"
+
+
+PANEL, FORECASTS, SAMPLE = (str(GOLDEN / name) for name in ("panel.csv", "forecasts.csv", "sample.csv"))
+
+# For each flag a command offers beyond --input and --output: a command line
+# on the golden fixtures, and two settings of that flag alone to add to it.
+FLAG_SETTINGS = [
+    ("measure", ["--input", PANEL, "--level", "0.95"], ["--kind", "var"], ["--kind", "es"]),
+    ("measure", ["--input", PANEL, "--kind", "es"], ["--level", "0.9"], ["--level", "0.95"]),
+    ("allocate", ["--input", PANEL, "--level", "0.9"], ["--kind", "es"], ["--kind", "expectile"]),
+    ("allocate", ["--input", PANEL, "--kind", "es"], ["--level", "0.9"], ["--level", "0.95"]),
+    ("diversify", ["--input", PANEL, "--level", "0.9"], ["--kind", "var"], ["--kind", "es"]),
+    ("diversify", ["--input", PANEL, "--kind", "es"], ["--level", "0.9"], ["--level", "0.95"]),
+    ("backtest-var", ["--input", FORECASTS], ["--level", "0.95"], ["--level", "0.99"]),
+    ("backtest-var", ["--input", FORECASTS, "--level", "0.99"],
+     ["--significance", "0.05"], ["--significance", "0.1"]),
+    ("backtest-es", ["--input", FORECASTS], ["--level", "0.95"], ["--level", "0.975"]),
+    ("backtest-es", ["--input", FORECASTS, "--level", "0.975"],
+     ["--significance", "0.05"], ["--significance", "0.1"]),
+    ("backtest-pit", ["--input", FORECASTS], ["--seed", "7"], ["--seed", "8"]),
+    ("backtest-pit", ["--input", FORECASTS], ["--bins", "4"], ["--bins", "5"]),
+    ("backtest-pit", ["--input", FORECASTS], ["--max-lag", "2"], ["--max-lag", "3"]),
+    ("elicit", ["--input", SAMPLE], ["--score", "squared-error"], ["--score", "absolute-error"]),
+    ("elicit", ["--input", SAMPLE, "--score", "weighted-absolute-error"],
+     ["--level", "0.9"], ["--level", "0.95"]),
+    ("elicit", ["--input", SAMPLE, "--score", "tail-mean"],
+     ["--threshold", "0.5"], ["--threshold", "1.0"]),
+    ("elicit", ["--input", SAMPLE, "--level", "0.95"],
+     ["--score", "weighted-absolute-error"], ["--two-step"]),
+    ("counterexample", ["--input", "-", "--level", "0.8"],
+     ["--search", "expectile-comonotone"], ["--search", "var-superadditive"]),
+    ("counterexample", ["--input", "-", "--search", "expectile-comonotone"],
+     ["--level", "0.8"], ["--level", "0.9"]),
+    ("counterexample", ["--input", "-", "--search", "expectile-comonotone", "--level", "0.8"],
+     ["--weight-denominator", "4"], ["--weight-denominator", "8"]),
+]
+
+
+class TestEveryFlagCanChangeAReport:
+    def test_the_table_covers_every_flag(self):
+        covered = sorted((command, second[0]) for command, _, _, second in FLAG_SETTINGS)
+        offered = sorted(
+            (name, f"--{flag}") for name, command in cli._COMMANDS.items() for flag in command.flags
+        )
+        assert covered == offered
+
+    @pytest.mark.parametrize(
+        "command, argv, first, second", FLAG_SETTINGS, ids=[" ".join(s[3]) for s in FLAG_SETTINGS]
+    )
+    def test_two_settings_give_different_results(self, capsys, command, argv, first, second):
+        results = []
+        for setting in (first, second):
+            assert main([command, *argv, *setting]) == 0
+            results.append(json.loads(capsys.readouterr().out)["results"])
+        assert results[0] != results[1]
+
+    @pytest.mark.parametrize("command", sorted(set(cli._COMMANDS) - {"backtest-pit"}))
+    def test_seed_is_a_usage_error_outside_backtest_pit(self, capsys, command):
+        argv, first = next((argv, first) for name, argv, first, _ in FLAG_SETTINGS if name == command)
+        with pytest.raises(SystemExit) as info:
+            main([command, *argv, *first, "--seed", "7"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err

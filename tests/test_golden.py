@@ -86,9 +86,18 @@ def render_help(name: str) -> bytes:
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_report_is_byte_identical(case, monkeypatch):
-    monkeypatch.delenv("TAILRISK_SEED", raising=False)
+def test_report_is_byte_identical(case):
     assert render(CASES[case]) == (GOLDEN / "reports" / f"{case}.json").read_bytes()
+
+
+def test_the_environment_does_not_change_a_report(monkeypatch):
+    # TAILRISK_SEED once set backtest-pit's default seed; now only --seed sets a seed
+    monkeypatch.setenv("TAILRISK_SEED", "99")
+    argv = CASES["backtest-pit"]
+    assert render(argv) == (GOLDEN / "reports" / "backtest-pit.json").read_bytes()
+    at = argv.index("--seed")
+    unseeded = argv[:at] + argv[at + 2:]
+    assert render(unseeded) == render(unseeded + ["--seed", "0"])
 
 
 @pytest.mark.parametrize("name", HELP)

@@ -71,7 +71,6 @@ for name, argv in json.loads(sys.argv[1]).items():
 
 def run_cold(commands: list[list[str]] | dict, child: str = CHILD) -> list:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    env.pop("TAILRISK_SEED", None)
     done = subprocess.run(
         [sys.executable, "-c", child, json.dumps(commands)],
         cwd=GOLDEN, env=env, capture_output=True, text=True, check=True,

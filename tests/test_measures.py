@@ -338,7 +338,7 @@ class TestMeasureKind:
         "name, level, want",
         [
             ("mean", None, MeasureKind.mean()),
-            ("variance", 0.9, MeasureKind.variance()),
+            ("variance", None, MeasureKind.variance()),
             ("var", 0.95, MeasureKind.var(0.95)),
             ("es", 0.975, MeasureKind.es(0.975)),
             ("expectile", 0.9, MeasureKind.expectile(0.9)),
@@ -351,6 +351,8 @@ class TestMeasureKind:
         "name, level, message",
         [
             ("var", None, "var requires a level"),
+            ("mean", 0.9, "mean takes no level"),
+            ("variance", 0.9, "variance takes no level"),
             ("es", 1.5, "level must lie strictly inside (0, 1), got 1.5"),
             ("cvar", 0.9, "'cvar' is not a valid MeasureFamily"),
         ],

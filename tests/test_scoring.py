@@ -67,11 +67,11 @@ class TestScoreValues:
     @pytest.mark.parametrize(
         "name, level, threshold, want",
         [
-            ("squared-error", 0.9, 1.0, ScoringFunction.squared_error()),
+            ("squared-error", None, None, ScoringFunction.squared_error()),
             ("absolute-error", None, None, ScoringFunction.absolute_error()),
-            ("weighted-absolute-error", 0.95, 1.0, ScoringFunction.weighted_absolute_error(0.95)),
+            ("weighted-absolute-error", 0.95, None, ScoringFunction.weighted_absolute_error(0.95)),
             ("weighted-squared-error", 0.9, None, ScoringFunction.weighted_squared_error(0.9)),
-            ("tail-mean", 0.9, -0.25, ScoringFunction.tail_mean(-0.25)),
+            ("tail-mean", None, -0.25, ScoringFunction.tail_mean(-0.25)),
         ],
     )
     def test_named_takes_the_parameter_of_its_kind(self, name, level, threshold, want):
@@ -82,7 +82,11 @@ class TestScoreValues:
         [
             ("weighted-squared-error", None, 1.0, "weighted-squared-error requires a level"),
             ("weighted-absolute-error", 1.2, None, "level must lie strictly inside (0, 1), got 1.2"),
-            ("tail-mean", 0.9, None, "tail-mean requires a threshold"),
+            ("tail-mean", None, None, "tail-mean requires a threshold"),
+            ("tail-mean", 0.9, -0.25, "tail-mean takes no level"),
+            ("squared-error", 0.9, None, "squared-error takes no level"),
+            ("absolute-error", None, 1.0, "absolute-error takes no threshold"),
+            ("weighted-absolute-error", 0.95, 1.0, "weighted-absolute-error takes no threshold"),
             ("tail-mean", None, float("inf"), "tail-mean requires a finite threshold"),
         ],
     )
