@@ -6,25 +6,32 @@ capital allocation with diversification indices, and a statistical
 backtesting suite (violation tests, multi-quantile expected-shortfall
 backtest, PIT distribution-forecast tests), plus a batch CLI.
 
-Each module's ``__all__`` lists its public names; the package exports them all.
+Each module's ``__all__`` lists its public names; the package exports them all,
+importing the modules on first use of a name, so ``import tailrisk`` loads no numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import allocation, backtest, distribution, errors, measures, scoring
-from .allocation import *  # noqa: F401,F403
-from .backtest import *  # noqa: F401,F403
-from .distribution import *  # noqa: F401,F403
-from .errors import *  # noqa: F401,F403
-from .measures import *  # noqa: F401,F403
-from .scoring import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    *distribution.__all__,
-    *measures.__all__,
-    *scoring.__all__,
-    *allocation.__all__,
-    *backtest.__all__,
-    *errors.__all__,
-]
+def _load() -> dict:
+    """This module's namespace; the first call binds the six modules' public names."""
+    if "__all__" not in globals():
+        names = ["__version__"]
+        for part in ("distribution", "measures", "scoring", "allocation", "backtest", "errors"):
+            module = importlib.import_module(f".{part}", __name__)
+            names += module.__all__
+            globals().update((name, getattr(module, name)) for name in module.__all__)
+        globals()["__all__"] = names
+    return globals()
+
+
+def __getattr__(name: str):
+    if name in _load():
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(_load())

@@ -45,6 +45,7 @@ from .distribution import (
     Level,
     LevelKind,
     _check_integer,
+    _finite,
     comonotone_sum,
     level_value,
 )
@@ -109,14 +110,12 @@ def violation_process(
 ) -> ViolationSeries:
     """Indicator series 1{loss > forecast}; strict inequality by construction."""
     a = level_value(alpha, LevelKind.QUANTILE)
-    forecasts = np.asarray(var_forecasts, dtype=float).ravel()
-    losses = np.asarray(realizations, dtype=float).ravel()
+    forecasts = _finite(var_forecasts, "var_forecasts")
+    losses = _finite(realizations, "realizations")
     if forecasts.size != losses.size:
         raise ShapeMismatchError(
             f"{forecasts.size} forecasts but {losses.size} realizations"
         )
-    if losses.size == 0:
-        raise InsufficientDataError("need at least one period")
     indicators = (losses > forecasts).astype(np.int8)
     indicators.setflags(write=False)
     return ViolationSeries(
@@ -313,13 +312,13 @@ def es_quantile_backtest(
         raise ValueError(f"significance must lie in (0, 0.5], got {significance}")
     levels = supporting_levels(a, len(quantile_forecasts))
     k_points = len(levels)
-    losses = np.asarray(realizations, dtype=float).ravel()
-    es_series = np.asarray(es_forecasts, dtype=float).ravel()
+    losses = _finite(realizations, "realizations")
+    es_series = _finite(es_forecasts, "es_forecasts")
     if es_series.size != losses.size:
         raise ShapeMismatchError(
             f"{es_series.size} es forecasts but {losses.size} realizations"
         )
-    q_series = [np.asarray(qf, dtype=float).ravel() for qf in quantile_forecasts]
+    q_series = [_finite(qf, "quantile_forecasts") for qf in quantile_forecasts]
     for idx, qf in enumerate(q_series):
         if qf.size != losses.size:
             raise ShapeMismatchError(
@@ -369,8 +368,8 @@ class PitSeries:
         z = np.asarray(self.z, dtype=float).ravel()
         if z.size == 0:
             raise InsufficientDataError("a PIT series needs at least one value")
-        if np.any(z < 0.0) or np.any(z > 1.0):
-            raise ValueError("PIT values must lie in [0, 1]")
+        if not np.all((z >= 0.0) & (z <= 1.0)):  # NaN fails both
+            raise ValueError("PIT values z must lie in [0, 1]")
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
 

@@ -719,7 +719,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a fault of the program, not of its input
         return _report_error(exc, 3)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

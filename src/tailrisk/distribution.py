@@ -82,6 +82,14 @@ def _check_integer(value: int, name: str, least: int, most: float = math.inf) ->
     return int(value)
 
 
+def _finite(values: Sequence[float], name: str) -> np.ndarray:
+    """``values`` as a flat float array, if every entry is finite."""
+    array = np.asarray(values, dtype=float).ravel()
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite")
+    return array
+
+
 def level_value(level: "Level | float", kind: LevelKind) -> float:
     """Return the float value of a level of role ``kind``.
 
@@ -227,15 +235,13 @@ class ComonotonePair:
     f2: np.ndarray
 
     def __post_init__(self) -> None:
-        f1 = np.asarray(self.f1, dtype=float).ravel()
-        f2 = np.asarray(self.f2, dtype=float).ravel()
+        f1 = _finite(self.f1, "f1")
+        f2 = _finite(self.f2, "f2")
         n = self.factor.atoms.size
         if f1.size != n or f2.size != n:
             raise ShapeMismatchError(
                 f"maps must list one value per factor atom ({n}), got {f1.size} and {f2.size}"
             )
-        if not (np.all(np.isfinite(f1)) and np.all(np.isfinite(f2))):
-            raise ValueError("mapped values must be finite")
         if np.any(np.diff(f1) < 0.0) or np.any(np.diff(f2) < 0.0):
             raise ValueError("maps must be nondecreasing along the factor atoms")
         f1.setflags(write=False)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distribution import DiscreteDistribution, Level, LevelKind, _check_level, level_value
+from .distribution import DiscreteDistribution, Level, LevelKind, _check_level, _finite, level_value
 from .errors import (
     EmptySampleError,
     EmptyTailError,
@@ -220,9 +220,9 @@ def compare_forecasts(
 ) -> tuple[float, float, Winner]:
     """Mean scores of two forecast series and which one wins (strictly
     smaller mean score); equal scores give ``Winner.NEITHER``."""
-    fa = np.asarray(forecasts_a, dtype=float).ravel()
-    fb = np.asarray(forecasts_b, dtype=float).ravel()
-    ys = np.asarray(realizations, dtype=float).ravel()
+    fa = _finite(forecasts_a, "forecasts_a")
+    fb = _finite(forecasts_b, "forecasts_b")
+    ys = _finite(realizations, "realizations")
     if not (fa.size == fb.size == ys.size):
         raise ShapeMismatchError(
             f"series lengths differ: {fa.size}, {fb.size}, {ys.size}"

@@ -65,6 +65,19 @@ class TestViolationProcess:
         with pytest.raises(ShapeMismatchError):
             violation_process([1.0, 2.0], [1.0], 0.95)
 
+    @pytest.mark.parametrize(
+        "forecasts, losses, name",
+        [
+            ([math.nan, 1.0, math.inf], [5.0, 1.0, 2.0], "var_forecasts"),
+            ([5.0, 1.0, 2.0], [5.0, math.nan, 2.0], "realizations"),
+            ([5.0], [-math.inf], "realizations"),
+        ],
+    )
+    def test_non_finite_input_is_refused(self, forecasts, losses, name):
+        # a NaN compares false, so unchecked it would count as no violation
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            violation_process(forecasts, losses, 0.95)
+
     def test_correct_forecast_violation_rate(self):
         # under the true constant quantile forecast the indicators are iid
         # Bernoulli(1 - alpha): the observed rate stays within 3 standard
@@ -249,6 +262,18 @@ class TestEsQuantileBacktest:
                 np.zeros(5), [np.zeros(4)] * 4, np.zeros(5), 0.95
             )
 
+    @pytest.mark.parametrize("position, name", [(0, "es_forecasts"), (1, "quantile_forecasts"),
+                                                (2, "realizations")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_is_refused(self, position, name, bad):
+        # unchecked, a NaN ES forecast would give a NaN mean_gap
+        args = [np.zeros(10), [np.zeros(10)] * 4, np.zeros(10)]
+        series = np.zeros(10)
+        series[3] = bad
+        args[position] = [series] * 4 if position == 1 else series
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            es_quantile_backtest(*args, 0.95)
+
 
 class TestPitTransform:
     def test_below_all_scenarios(self):
@@ -390,6 +415,14 @@ class TestPitUniformity:
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             PitSeries(np.array([0.5, 1.2]), randomized=False, rng_seed=None)
+
+    def test_nan_is_refused(self):
+        # a NaN compares false against both bounds; unchecked, the uniformity
+        # test would bin 99 of 100 values and the independence test fail on int(NaN)
+        z = np.linspace(0.0, 1.0, 100)
+        z[40] = math.nan
+        with pytest.raises(ValueError, match=r"^PIT values z must lie in \[0, 1\]$"):
+            PitSeries(z, randomized=False, rng_seed=None)
 
 
 class TestPitIndependence:

@@ -247,6 +247,13 @@ class TestComonotone:
         with pytest.raises(ValueError):
             ComonotonePair(factor, [3.0, 2.0, 1.0], [1.0, 2.0, 3.0])
 
+    def test_rejects_a_non_finite_map_by_name(self):
+        factor = DiscreteDistribution.from_sample([1, 2, 3])
+        with pytest.raises(ValueError, match="^f1 must be finite$"):
+            ComonotonePair(factor, [1.0, 2.0, float("inf")], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="^f2 must be finite$"):
+            ComonotonePair(factor, [1.0, 2.0, 3.0], [1.0, float("nan"), 3.0])
+
 
 class TestWasserstein:
     def test_unit_shift(self):

@@ -105,19 +105,44 @@ def test_cli_es_on_heavy_tailed_panel(tmp_path, seed):
     assert json.loads(out.read_text())["results"]["portfolio"] == pytest.approx(want, rel=1e-11)
 
 
+def _run_command(args: list[str], **env: str) -> subprocess.CompletedProcess:
+    """``python <args>`` in a fresh interpreter that imports this package, with
+    ``env`` added to the environment."""
+    src = str(Path(tailrisk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path, **env), timeout=300,
+    )
+
+
 def test_cli_allocate_without_assertions(tmp_path):
     rows = np.random.default_rng(0).standard_normal((10**5, 5))
     path = _write_panel(tmp_path / "panel.csv", rows)
-    src = str(Path(tailrisk.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "tailrisk", "allocate", "--input", path,
-         "--kind", "es", "--level", "0.99"],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = _run_command(["-O", "-m", "tailrisk", "allocate", "--input", path,
+                         "--kind", "es", "--level", "0.99"])
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)["results"]
     assert results["total"] == pytest.approx(oracles.es_of_sample(rows.sum(axis=1), 0.99), rel=1e-11)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["measure", "--kind", "es", "--level", "0.975"], ["measure", "--kind", "mean"],
+     ["allocate", "--kind", "es", "--level", "0.975"]],
+    ids=["measure-es", "measure-mean", "allocate-es"],
+)
+def test_cli_report_does_not_depend_on_the_blas_thread_count(tmp_path, argv):
+    # on 2*10^4 rows the order in which a multi-threaded BLAS sums the dot
+    # products of mean, ES and the contributions depends on the thread count
+    rows = np.random.default_rng(0).standard_normal((2 * 10**4, 3))
+    path = _write_panel(tmp_path / "panel.csv", rows)
+    reports = []
+    for threads in ("1", "2"):
+        proc = _run_command(["-m", "tailrisk", *argv, "--input", path], OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(proc.stdout)
+    assert reports[0] == reports[1]
 
 
 def test_pit_on_a_long_forecast_holds_little_beyond_its_scenarios(tmp_path):

@@ -1,6 +1,8 @@
 """Tests for scoring functions, empirical elicitation, the two-step
 expected-shortfall forecast, and forecast comparison."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,16 @@ class TestCompareForecasts:
     def test_length_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             compare_forecasts(ScoringFunction.squared_error(), [1.0], [1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize("position, name", [(0, "forecasts_a"), (1, "forecasts_b"),
+                                                (2, "realizations")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_is_refused(self, position, name, bad):
+        # unchecked, a NaN forecast A would give (nan, 0.0, Winner.NEITHER)
+        args = [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]
+        args[position] = [1.0, bad]
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            compare_forecasts(ScoringFunction.squared_error(), *args)
 
 
 def test_mean_score_matches_manual_average():
