@@ -292,6 +292,11 @@ class EsQuantileBacktestResult:
     top_tail_observations: tuple[float, ...]
 
 
+def _check_significance(value: float) -> None:
+    if not 0.0 < value <= 0.5:
+        raise ValueError(f"significance must lie in (0, 0.5], got {value}")
+
+
 def es_quantile_backtest(
     es_forecasts: Sequence[float],
     quantile_forecasts: Sequence[Sequence[float]],
@@ -308,8 +313,7 @@ def es_quantile_backtest(
     coverage to significance/K.
     """
     a = level_value(alpha, LevelKind.QUANTILE)
-    if not 0.0 < significance <= 0.5:
-        raise ValueError(f"significance must lie in (0, 0.5], got {significance}")
+    _check_significance(significance)
     levels = supporting_levels(a, len(quantile_forecasts))
     k_points = len(levels)
     losses = _finite(realizations, "realizations")
@@ -394,6 +398,8 @@ def _pit_values(scenario_sets: Sequence, x: np.ndarray, v: np.ndarray | float) -
         below[rows] = ordered.searchsorted(x[rows])
         upto[rows] = ordered.searchsorted(x[rows], side="right")
         n[rows] = ordered.size
+    if np.isnan(x).any():  # searchsorted would place it above every scenario
+        raise ValueError("realizations must not be NaN")
     lo, hi = below / n, upto / n
     return lo + v * (hi - lo)
 
@@ -421,7 +427,8 @@ def pit_series(
     """PIT values for aligned scenario forecasts and realizations.
 
     Randomization draws come from a generator seeded with ``rng_seed`` in row
-    order, so results are bit-reproducible for a given seed.
+    order, so results are bit-reproducible for a given seed. A realization
+    may be infinite, but not NaN.
     """
     losses = np.asarray(realizations, dtype=float).ravel()
     if len(scenario_sets) != losses.size:

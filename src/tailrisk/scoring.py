@@ -148,12 +148,12 @@ def score(s: ScoringFunction, forecast, observation):
 
 
 def mean_score(s: ScoringFunction, forecast: float | np.ndarray, sample: Sequence[float]) -> float:
-    """Empirical mean score of a forecast against a sample: a constant
-    forecast, or an array of one forecast per sample value."""
-    values = np.asarray(sample, dtype=float).ravel()
+    """Empirical mean score of a finite forecast against a finite sample: a
+    constant forecast, or an array of one forecast per sample value."""
+    values = _finite(sample, "sample")
     if values.size == 0:
         raise EmptySampleError("cannot score against an empty sample")
-    return math.fsum(np.asarray(score(s, forecast, values)).tolist()) / values.size
+    return math.fsum(score(s, _finite(forecast, "forecast"), values).tolist()) / values.size
 
 
 def elicit(s: ScoringFunction, sample: Sequence[float]) -> float:

@@ -321,6 +321,16 @@ class TestPitTransform:
         with pytest.raises(ShapeMismatchError):
             pit_series([[1.0]], [1.0, 2.0], rng_seed=0)
 
+    def test_a_nan_realization_is_refused(self):
+        # unchecked, searchsorted placed NaN above every scenario: z = 1
+        with pytest.raises(ValueError, match="^realizations must not be NaN$"):
+            pit_series([[1.0, 2.0]], [math.nan], rng_seed=0)
+        with pytest.raises(ValueError, match="^realizations must not be NaN$"):
+            pit_transform([1.0, 2.0], math.nan, 0.5)
+        # an infinite realization lies below or above every scenario
+        series = pit_series([[1.0, 2.0]] * 2, [-math.inf, math.inf], 0, randomized=False)
+        assert series.z.tolist() == [0.0, 1.0]
+
     SETS = [[1.0, 2.0, 3.0], [10.0, 20.0, 30.0], [100.0, 200.0, 300.0], [0.0, 0.5, 0.7]]
     LOSSES = [2.5, 5.0, 250.0, 0.6]
 

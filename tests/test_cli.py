@@ -1,12 +1,16 @@
 """End-to-end tests of the batch CLI: CSV parsing, command dispatch, exit
 codes, and deterministic JSON reports."""
 
+import contextlib
+import io
 import json
 from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailrisk import (
     DegenerateDenominatorError,
@@ -19,6 +23,7 @@ from tailrisk import (
 )
 from tailrisk import cli
 from tailrisk.cli import main, parse_forecasts_csv, parse_panel_csv
+from test_golden import CASES
 
 
 def write(path, text):
@@ -871,6 +876,35 @@ class TestCounterexampleCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["portfolio_var"] > sum(report["results"]["position_vars"])
 
+    def test_var_superadditive_takes_no_weight_denominator(self, capsys):
+        argv = ["counterexample", "--input", "-", "--search", "var-superadditive",
+                "--level", "0.95", "--weight-denominator", "3"]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ValueError", "message": "var-superadditive takes no --weight-denominator",
+        }
+
+    # the search's time grows with the denominator, so the CLI stops at 1000
+    @pytest.mark.parametrize("d", [-3, 0, 1, 1001, 10**20])
+    def test_weight_denominator_outside_2_to_1000_exits_two(self, capsys, d):
+        argv = ["counterexample", "--input", "-", "--search", "expectile-comonotone",
+                "--level", "0.8", "--weight-denominator", str(d)]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ValueError",
+            "message": f"weight_denominator must be an integer from 2 to 1000, got {d}",
+        }
+
+    def test_an_unset_weight_denominator_is_null_and_the_search_takes_its_own(self, capsys):
+        argv = ["counterexample", "--input", "-", "--search", "expectile-comonotone",
+                "--level", "0.8"]
+        reports = []
+        for extra in ([], ["--weight-denominator", "8"]):
+            assert main(argv + extra) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert [r["config"]["weight_denominator"] for r in reports] == [None, 8]
+        assert reports[0]["results"] == reports[1]["results"]
+
 
 class TestRenderReport:
     def test_numpy_values_render_as_their_python_values(self, monkeypatch):
@@ -882,7 +916,8 @@ class TestRenderReport:
         }
         command = cli._COMMANDS["measure"]._replace(run=lambda config, warnings: values)
         monkeypatch.setitem(cli._COMMANDS, "measure", command)
-        text = cli.render_report(cli.run(cli.RunConfig("measure", "panel.csv", kind="mean")))
+        argv = ["measure", "--input", "panel.csv", "--kind", "mean"]
+        text = cli.render_report(cli.run(cli._build_parser().parse_args(argv)))
         results = text[text.index('  "results"'):text.index('  "version"')]
         assert results == (
             '  "results": {\n'
@@ -1047,11 +1082,11 @@ class TestCliContract:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (VAR + ["--significance", "0"], "--significance must lie in (0, 0.5], got 0.0"),
-            (VAR + ["--significance", "0.6"], "--significance must lie in (0, 0.5], got 0.6"),
-            (ES + ["--significance", "-0.1"], "--significance must lie in (0, 0.5], got -0.1"),
-            (PIT + ["--bins", "1"], "--bins must be at least 2, got 1"),
-            (PIT + ["--max-lag", "0"], "--max-lag must be at least 1, got 0"),
+            (VAR + ["--significance", "0"], "significance must lie in (0, 0.5], got 0.0"),
+            (VAR + ["--significance", "0.6"], "significance must lie in (0, 0.5], got 0.6"),
+            (ES + ["--significance", "-0.1"], "significance must lie in (0, 0.5], got -0.1"),
+            (PIT + ["--bins", "1"], "bins must be an integer of at least 2, got 1"),
+            (PIT + ["--max-lag", "0"], "max_lag must be an integer of at least 1, got 0"),
             (["measure", "--kind", "mean", "--level", "0.9"], "mean takes no level"),
             (["diversify", "--kind", "variance", "--level", "0.9"], "variance takes no level"),
             (["elicit", "--score", "squared-error", "--level", "0.9"], "squared-error takes no level"),
@@ -1063,6 +1098,13 @@ class TestCliContract:
              "--two-step takes no --score"),
             (["elicit", "--two-step", "--level", "0.95", "--threshold", "1"],
              "--two-step takes no --threshold"),
+            (PIT + ["--seed", "-1"], "seed must be an integer of at least 0, got -1"),
+            (["backtest-var", "--level", "1"], "level must lie strictly inside (0, 1), got 1.0"),
+            (["backtest-es", "--level", "nan"], "level must lie strictly inside (0, 1), got nan"),
+            (["elicit", "--two-step", "--level", "1.5"],
+             "level must lie strictly inside (0, 1), got 1.5"),
+            (["elicit", "--two-step"], "--two-step requires --level"),
+            (["elicit", "--level", "0.9"], "--score is required (or use --two-step)"),
         ],
     )
     def test_a_flag_is_checked_before_the_input(self, tmp_path, capsys, argv, message):
@@ -1096,10 +1138,15 @@ class TestCliContract:
     def test_config_echo_round_trip(self, uniform_panel, capsys):
         main(["measure", "--input", uniform_panel, "--kind", "var", "--level", "0.9"])
         report = json.loads(capsys.readouterr().out)
-        cfg = report["config"]
-        assert cfg["command"] == "measure"
-        assert cfg["input"] == uniform_panel
-        assert cfg["kind"] == "var"
+        assert report["command"] == "measure"
+        assert report["config"] == {"input": uniform_panel, "output": "-", "kind": "var", "level": 0.9}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_config_echoes_the_command_flags_only(self, case):
+        argv = CASES[case]
+        report = json.loads((GOLDEN / "reports" / f"{case}.json").read_text())
+        flags = {flag.replace("-", "_") for flag in cli._COMMANDS[argv[0]].flags}
+        assert set(report["config"]) == {"input", "output"} | flags
 
 
 PANEL, FORECASTS, SAMPLE = (str(GOLDEN / name) for name in ("panel.csv", "forecasts.csv", "sample.csv"))
@@ -1163,3 +1210,91 @@ class TestEveryFlagCanChangeAReport:
             main([command, *argv, *first, "--seed", "7"])
         assert info.value.code == 2
         assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
+# The exit contract, flag by flag, on the golden fixtures: one flag takes a
+# value of one sort; the command's required flags, and some of its others,
+# take values in range.
+BEYOND = {
+    "nan": st.just("nan"),
+    "inf": st.just("inf"),
+    "-inf": st.just("-inf"),
+    "past int64": st.sampled_from([str(2**63), str(-(2**63) - 1)]),
+}
+
+
+def numbers(in_range, out_of_range):
+    return {"in range": in_range.map(repr), "out of range": out_of_range.map(repr), **BEYOND}
+
+
+def names(choices):
+    return {"in range": st.sampled_from(choices), "out of range": st.just("bogus"), **BEYOND}
+
+
+FLAG_VALUES = {
+    "kind": names(cli._MEASURE_CHOICES),
+    "level": numbers(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                     st.sampled_from([0.0, 1.0, -0.5, 1.5, 1e300])),
+    "significance": numbers(st.floats(0.001, 0.5), st.sampled_from([0.0, 0.6, -0.1])),
+    "bins": numbers(st.integers(2, 12), st.integers(-3, 1)),
+    "max-lag": numbers(st.integers(1, 8), st.integers(-3, 0)),
+    "seed": numbers(st.integers(0, 2**64), st.integers(-3, -1)),
+    "score": names(cli._SCORE_CHOICES),
+    "threshold": numbers(st.floats(-2.0, 2.0), st.sampled_from([-1e308, 1e308])),
+    "search": names(tuple(cli._SEARCHES)),
+    # each search takes at most 0.25 s at these denominators
+    "weight-denominator": numbers(st.integers(2, 8), st.sampled_from([-1, 0, 1, 1001, 10**6])),
+    "two-step": {"in range": st.just(None)},  # a switch: present or not
+}
+INPUTS = {"measure": PANEL, "allocate": PANEL, "diversify": PANEL, "elicit": SAMPLE,
+          "counterexample": "-"}
+FLAG_CASES = [
+    (name, flag, sort)
+    for name, command in cli._COMMANDS.items()
+    for flag in command.flags
+    for sort in FLAG_VALUES[flag]
+]
+
+
+@st.composite
+def command_lines(draw, name, flag, sort):
+    command = cli._COMMANDS[name]
+    argv = [name, "--input", INPUTS.get(name, FORECASTS)]
+    for other in command.flags:
+        if other == flag or other in command.required or draw(st.booleans()):
+            value = draw(FLAG_VALUES[other][sort if other == flag else "in range"])
+            argv += [f"--{other}"] + ([] if value is None else [value])
+    return argv
+
+
+def test_every_flag_has_every_sort_of_value():
+    offered = {flag for command in cli._COMMANDS.values() for flag in command.flags}
+    assert set(FLAG_VALUES) == offered
+    for flag, sorts in FLAG_VALUES.items():
+        want = ["in range"] if flag == "two-step" else ["in range", "out of range", *BEYOND]
+        assert list(sorts) == want, flag
+
+
+@pytest.mark.parametrize("name, flag, sort", FLAG_CASES, ids=[" ".join(c) for c in FLAG_CASES])
+def test_every_run_keeps_the_exit_contract(name, flag, sort):
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(command_lines(name, flag, sort))
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as usage:  # argparse refused the command line
+                assert usage.code == 2
+                return
+        assert code in (0, 2), err.getvalue()
+        if code == 0:
+            assert err.getvalue() == ""
+            assert json.loads(out.getvalue())["command"] == name
+        else:
+            assert out.getvalue() == ""
+            line, rest = err.getvalue().split("\n", 1)
+            assert rest == ""
+            assert set(json.loads(line)) == {"error"}
+
+    run()

@@ -321,6 +321,22 @@ class TestCompareForecasts:
             compare_forecasts(ScoringFunction.squared_error(), *args)
 
 
+@pytest.mark.parametrize(
+    "forecast, sample, name",
+    [
+        (1.0, [math.nan, 1.0], "sample"),
+        (1.0, [2.0, math.inf], "sample"),
+        (math.nan, [2.0, 1.0], "forecast"),
+        (-math.inf, [2.0, 1.0], "forecast"),
+        ([1.0, math.nan], [2.0, 1.0], "forecast"),
+    ],
+)
+def test_mean_score_refuses_non_finite_input(forecast, sample, name):
+    # unchecked, each of these gave a mean score of nan or inf
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        mean_score(ScoringFunction.squared_error(), forecast, sample)
+
+
 def test_mean_score_matches_manual_average():
     s = ScoringFunction.absolute_error()
     assert mean_score(s, 1.0, [0.0, 2.0, 4.0]) == pytest.approx((1 + 1 + 3) / 3)
