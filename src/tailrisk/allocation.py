@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distribution import DiscreteDistribution, Level, LevelKind, level_value
+from .distribution import DiscreteDistribution, Level, LevelKind, _dot, level_value
 from .errors import DegenerateDenominatorError, ShapeMismatchError
 from .measures import (
     MeasureFamily,
@@ -48,9 +48,6 @@ __all__ = [
     "DiversificationResult",
     "diversify",
 ]
-
-_RESIDUAL_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class LossPanel:
@@ -129,9 +126,10 @@ class LossPanel:
 class AllocationResult:
     """Euler allocation of a portfolio measure across positions.
 
-    ``residual`` is ``total - sum(contributions)`` and is bounded by
-    1e-10 * max(1, |total|); the full-allocation identity is exact up to
-    floating rounding. ``nonunique_gradient`` flags boundary mass on the
+    ``residual`` is ``total - sum(contributions)``, within 1e-10 *
+    max(1, |total|): the full-allocation identity is exact up to floating
+    rounding. The bound is a guarantee, held by tests at 10^6 rows, and is
+    not checked at run time. ``nonunique_gradient`` flags boundary mass on the
     threshold (the subgradient then has more than one element and the
     reported contributions are the canonical choice).
     """
@@ -141,12 +139,6 @@ class AllocationResult:
     contributions: tuple[float, ...]
     residual: float
     nonunique_gradient: bool = False
-
-    def __post_init__(self) -> None:
-        if abs(self.residual) > _RESIDUAL_TOL * max(1.0, abs(self.total)):
-            raise ValueError(
-                f"allocation residual {self.residual!r} out of tolerance for total {self.total!r}"
-            )
 
 
 def es_contributions(panel: LossPanel, alpha: "Level | float") -> AllocationResult:
@@ -165,7 +157,7 @@ def _es_contributions(panel: LossPanel, a: float, law: DiscreteDistribution) -> 
     boundary_mass = max((1.0 - a) - p_above, 0.0)
     beta = boundary_mass / p_at if p_at > 0.0 else 0.0
     tail_weights = w * (above + beta * at) / (1.0 - a)
-    contributions = tuple(float(v) for v in tail_weights @ panel.rows)
+    contributions = tuple(_dot(tail_weights, column) for column in panel.rows.T)
     total = expected_shortfall(law, a)
     residual = total - math.fsum(contributions)
     return AllocationResult(
@@ -208,7 +200,7 @@ def _expectile_contributions(
     p_above = float(np.sum(w[above]))
     denominator = t * p_above + (1.0 - t) * (1.0 - p_above)
     row_weights = w * np.where(above, t, 1.0 - t) / denominator
-    contributions = tuple(float(v) for v in row_weights @ panel.rows)
+    contributions = tuple(_dot(row_weights, column) for column in panel.rows.T)
     residual = e - math.fsum(contributions)
     return AllocationResult(
         measure=MeasureKind.expectile(t),

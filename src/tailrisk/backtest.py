@@ -45,6 +45,7 @@ from .distribution import (
     Level,
     LevelKind,
     _check_integer,
+    _dot,
     _finite,
     comonotone_sum,
     level_value,
@@ -475,7 +476,7 @@ def pit_independence_test(
     for k in sorted(powers):
         x = p.z**k
         centered = x - x.mean()
-        denom = float(np.dot(centered, centered))
+        denom = _dot(centered, centered)
         # centering a constant series leaves only rounding, and a spread below
         # about 1e-154 squares to zero; neither has autocorrelations
         if np.ptp(x) == 0.0 or denom == 0.0:
@@ -483,7 +484,7 @@ def pit_independence_test(
             continue
         q_stat = 0.0
         for lag in range(1, max_lag + 1):
-            r = float(np.dot(centered[:-lag], centered[lag:])) / denom
+            r = _dot(centered[:-lag], centered[lag:]) / denom
             q_stat += r * r / (t - lag)
         q_stat *= t * (t + 2.0)
         pk = _chi2_sf(q_stat, max_lag)

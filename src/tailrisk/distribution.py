@@ -90,6 +90,13 @@ def _finite(values: Sequence[float], name: str) -> np.ndarray:
     return array
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The sum of ``a * b`` by numpy's pairwise summation, with no BLAS and no
+    threads, so it has the same bits on every host; every sum of products in
+    the package goes through it."""
+    return float(np.add.reduce(a * b))
+
+
 def level_value(level: "Level | float", kind: LevelKind) -> float:
     """Return the float value of a level of role ``kind``.
 
@@ -276,4 +283,4 @@ def wasserstein1(d1: DiscreteDistribution, d2: DiscreteDistribution) -> float:
     q1 = d1.atoms[np.searchsorted(d1.cum_weights, cuts, side="left")]
     q2 = d2.atoms[np.searchsorted(d2.cum_weights, cuts, side="left")]
     widths = np.diff(np.concatenate(([0.0], cuts)))
-    return float(np.dot(widths, np.abs(q1 - q2)))
+    return _dot(widths, np.abs(q1 - q2))

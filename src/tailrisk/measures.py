@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distribution import DiscreteDistribution, Level, LevelKind, _check_integer, level_value
+from .distribution import DiscreteDistribution, Level, LevelKind, _check_integer, _dot, level_value
 
 __all__ = [
     "MeasureFamily",
@@ -114,13 +114,13 @@ class MeasureKind:
 
 def mean(d: DiscreteDistribution) -> float:
     """Expected loss of the law."""
-    return float(np.dot(d.atoms, d.weights))
+    return _dot(d.atoms, d.weights)
 
 
 def variance(d: DiscreteDistribution) -> float:
     """Second central moment of the law."""
     centered = d.atoms - mean(d)
-    return float(np.dot(centered * centered, d.weights))
+    return _dot(centered * centered, d.weights)
 
 
 def value_at_risk(d: DiscreteDistribution, alpha: "Level | float") -> float:
@@ -139,7 +139,7 @@ def expected_shortfall(d: DiscreteDistribution, alpha: "Level | float") -> float
     edges = np.empty(d.atoms.size + 1)
     edges[0] = a
     np.maximum(d.cum_weights, a, out=edges[1:])
-    return float(np.dot(d.atoms, np.subtract(edges[1:], edges[:-1]))) / (1.0 - a)
+    return _dot(d.atoms, np.subtract(edges[1:], edges[:-1])) / (1.0 - a)
 
 
 def expectile(d: DiscreteDistribution, tau: "Level | float") -> float:

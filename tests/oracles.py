@@ -65,6 +65,23 @@ def es_of_sample(sample, alpha):
     return tail_mean + (tail_mean - q) * (tail.size / n / (1.0 - alpha) - 1.0)
 
 
+def tail_means_exact(sample, alpha, columns):
+    """E[x | the tail of ``sample`` above alpha] for each array x in
+    ``columns``, on an equal-weight sample: rows above the order statistic
+    weigh 1, rows on it share what is left of the tail mass n(1 - alpha),
+    taken in exact rational arithmetic, and each weighted sum is
+    :func:`dot_exact`, divided by the tail mass once."""
+    sample = np.asarray(sample, dtype=float)
+    q = order_statistic(sample, alpha)
+    above, at = sample > q, sample == q
+    n_above, n_at = int(above.sum()), int(at.sum())
+    mass = Fraction(sample.size) * Fraction(1.0 - alpha)
+    weights = np.concatenate((np.ones(n_above), np.full(n_at, float((mass - n_above) / n_at))))
+    return [
+        dot_exact(np.concatenate((x[above], x[at])), weights) / float(mass) for x in columns
+    ]
+
+
 def expectile_residual(sample, tau, e):
     """First-order condition tau*E[(L-e)+] - (1-tau)*E[(e-L)+] of an
     equal-weight sample at ``e``, each side summed with ``math.fsum``."""
@@ -189,10 +206,34 @@ def merge_by_unique(atoms, weights):
 
 def es_by_clipped_segments(atoms, cum, alpha):
     """Expected shortfall as the dot product of the atoms with the segments
-    cum_k - max(cum_{k-1}, alpha) clipped at zero."""
+    cum_k - max(cum_{k-1}, alpha) clipped at zero, summed pairwise
+    (``np.add.reduce``) as the package sums it."""
     lower = np.maximum(np.concatenate(([0.0], cum[:-1])), alpha)
     seg = np.clip(cum - lower, 0.0, None)
-    return float(np.dot(atoms, seg)) / (1.0 - alpha)
+    return float(np.add.reduce(atoms * seg)) / (1.0 - alpha)
+
+
+def _split(x):
+    """Dekker's split: high parts of at most 26 significant bits, and the
+    exact remainders."""
+    c = 134217729.0 * x  # 2^27 + 1
+    high = c - (c - x)
+    return high, x - high
+
+
+def dot_exact(a, b):
+    """sum(a * b), correctly rounded. Dekker's TwoProduct writes each product
+    as its float value plus its exact rounding error, and ``math.fsum`` adds
+    all of them exactly and rounds once (Ogita, Rump and Oishi, "Accurate sum
+    and dot product", 2005). Exact while no product or part of one leaves the
+    normal float range."""
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    products = a * b
+    a_high, a_low = _split(a)
+    b_high, b_low = _split(b)
+    errors = a_low * b_low - (((products - a_high * b_high) - a_low * b_high) - a_high * b_low)
+    return math.fsum(np.concatenate((products, errors)).tolist())
 
 
 def expectile_by_bisection(atoms, weights, cum, tau):

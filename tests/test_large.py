@@ -5,6 +5,7 @@ test-sized inputs, the CLI must keep its exit contract, and a PIT backtest
 must hold little more than its scenario values."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from tailrisk import (
     expectile,
     expectile_contributions,
     expected_shortfall,
+    mean,
     pit_series,
     value_at_risk,
 )
@@ -76,6 +78,33 @@ def test_allocations_are_full(normal_panel):
         assert abs(result.residual) <= 1e-10 * max(1.0, abs(result.total))
 
 
+# the worst measured on the four normal panels: mean 0.6 ulp, expected
+# shortfall 3 and its contributions 5
+MEAN_ULPS, TAIL_ULPS = 1, 6
+
+
+def _ulps(value, exact, scale):
+    """|value - exact| in units of ulp(scale)."""
+    return abs(value - exact) / math.ulp(scale)
+
+
+def test_sums_of_products_are_within_a_few_ulps_of_exact(normal_panel):
+    # the unit is the ulp of E|L| under the weights of the sum bounded
+    n = normal_panel.n_periods
+    for sample, law in _laws(normal_panel):
+        exact, scale = (math.fsum(x.tolist()) / n for x in (sample, np.abs(sample)))
+        assert _ulps(mean(law), exact, scale) <= MEAN_ULPS
+        for alpha in LEVELS:
+            exact, scale = oracles.tail_means_exact(sample, alpha, [sample, np.abs(sample)])
+            assert _ulps(expected_shortfall(law, alpha), exact, scale) <= TAIL_ULPS
+    portfolio = normal_panel.portfolio_losses()
+    for alpha in LEVELS:
+        contributions = es_contributions(normal_panel, alpha).contributions
+        for column, c in zip(normal_panel.rows.T, contributions):
+            exact, scale = oracles.tail_means_exact(portfolio, alpha, [column, np.abs(column)])
+            assert _ulps(c, exact, scale) <= TAIL_ULPS
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_unequal_weight_allocations_are_full(seed):
     t = 10**6
@@ -116,6 +145,33 @@ def _run_command(args: list[str], **env: str) -> subprocess.CompletedProcess:
     )
 
 
+_LIBRARY_RESULTS = """
+import numpy as np
+import tailrisk as t
+rng = np.random.default_rng(0)
+panel = t.LossPanel.from_rows(rng.standard_normal((10**5, 5)))
+law = panel.portfolio_law()
+pit = t.PitSeries(rng.uniform(size=10**5), randomized=False, rng_seed=None)
+for result in (
+    t.mean(law), t.variance(law), t.expected_shortfall(law, 0.975),
+    t.es_contributions(panel, 0.975), t.expectile_contributions(panel, 0.99),
+    t.wasserstein1(panel.column_law(0), panel.column_law(1)), t.pit_independence_test(pit),
+):
+    print(repr(result))
+"""
+
+
+def test_library_results_do_not_depend_on_the_blas_thread_count():
+    # a multi-threaded BLAS splits a long dot product by thread, so its
+    # rounding would follow the thread count; numpy's pairwise sum does not
+    outputs = []
+    for threads in ("1", "2"):
+        proc = _run_command(["-c", _LIBRARY_RESULTS], OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_allocate_without_assertions(tmp_path):
     rows = np.random.default_rng(0).standard_normal((10**5, 5))
     path = _write_panel(tmp_path / "panel.csv", rows)
@@ -133,8 +189,6 @@ def test_cli_allocate_without_assertions(tmp_path):
     ids=["measure-es", "measure-mean", "allocate-es"],
 )
 def test_cli_report_does_not_depend_on_the_blas_thread_count(tmp_path, argv):
-    # on 2*10^4 rows the order in which a multi-threaded BLAS sums the dot
-    # products of mean, ES and the contributions depends on the thread count
     rows = np.random.default_rng(0).standard_normal((2 * 10**4, 3))
     path = _write_panel(tmp_path / "panel.csv", rows)
     reports = []
