@@ -534,7 +534,10 @@ def find_expectile_comonotone_counterexample(
     assignments of ``map_values`` to the factor atoms. Returns the first pair
     (in deterministic iteration order) whose additivity gap exceeds
     ``min_gap``; raises :class:`CounterexampleNotFoundError` if the grid is
-    exhausted, in which case widen it.
+    exhausted, in which case widen it. The grid holds C(d - 1, k - 1) factors
+    for k atoms and denominator d, each paired with every two maps, so a
+    search that finds nothing on the default atoms and maps scans
+    C(d - 1, 2) * 100 pairs.
     """
     t = level_value(tau, LevelKind.EXPECTILE)
     if not 0.5 < t < 1.0:

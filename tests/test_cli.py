@@ -2,6 +2,7 @@
 codes, and deterministic JSON reports."""
 
 import contextlib
+import csv
 import io
 import json
 from contextlib import suppress
@@ -293,6 +294,16 @@ class TestParseForecastsCsv:
         assert (info.value.row, info.value.column) == (4, "scenario_file")
 
 
+# whitespace-only lines; none of these characters ends a line under newline=""
+WHITESPACE_LINES = [f"loss\n1\n{space}\n2\n" for space in "\x0b\x0c\x1c\x85\xa0\u2028\u3000"]
+# too long to be their own test ids: each case's file and whether the bulk pass trusts it
+LONG_CASES = {
+    "blank-line-after-64KiB": ("loss\n" + "1.5\n" * 20000 + "\n2\n", False),
+    "long-line-after-64KiB": ("loss\n" + "1.5\n" * 20000 + "0" * 140000 + "2\n", False),
+    "line-at-field-limit": ("a\n" + "0" * (csv.field_size_limit() - 2) + "1\n", True),
+    "line-past-field-limit": ("a\n" + "0" * (csv.field_size_limit() - 1) + "1\n", False),
+}
+
 # Panels that take each branch of the bulk pass and of the row loop: every panel
 # error input of this file, then the syntax where np.loadtxt and csv plus float()
 # could part ways. Written as bytes, so the line endings are the ones shown.
@@ -337,6 +348,11 @@ BULK_CASES = [
     "a\n1\x002\n",
     "a,b\n1,\x00\n",
     "a\n1\n" + "0" * 140000 + "1\n",
+    # the bulk pass judges a block of lines at a time: whitespace-only lines, a
+    # refusal in a block after the first, and a line of the csv field size
+    # limit, counting its "\n", and one longer
+    *WHITESPACE_LINES,
+    *(pytest.param(text, id=name) for name, (text, _) in LONG_CASES.items()),
 ]
 
 
@@ -511,6 +527,8 @@ class TestBulkParse:
             ("a,b\n1,nan\n", False),
             ("a,b,c\n1,2\n", False),
             ("a\n" + "0" * 140000 + "1\n", False),
+            *((text, False) for text in WHITESPACE_LINES),
+            *(pytest.param(*case, id=name) for name, case in LONG_CASES.items()),
         ],
     )
     def test_bulk_pass_is_trusted_only_where_it_can_judge(
@@ -530,6 +548,18 @@ class TestBulkParse:
         assert rows.shape == (60, 3) and tables[0].tobytes() == rows.tobytes()
         monkeypatch.setattr(cli, "_bulk_floats", lambda lines, columns: None)
         assert rows.tobytes() == parse_panel_csv(path).rows.tobytes()
+
+    def test_benchmark_shaped_panel_takes_the_bulk_pass(self, tmp_path, monkeypatch):
+        # 2*10^4 rows of five floats in repr span many blocks of the bulk pass
+        rows = np.random.default_rng(5).normal(size=(20000, 5))
+        lines = ["p1,p2,p3,p4,p5", *(",".join(map(repr, row)) for row in rows.tolist())]
+        path = Path(write(tmp_path / "p.csv", "\n".join(lines) + "\n"))
+        tables = bulk_tables(monkeypatch)
+        parsed = parse_panel_csv(path).rows
+        assert path.stat().st_size > 20 * (1 << 16)
+        assert tables[0] is not None and parsed.tobytes() == rows.tobytes()
+        monkeypatch.setattr(cli, "_bulk_floats", lambda lines, columns: None)
+        assert parse_panel_csv(path).rows.tobytes() == parsed.tobytes()
 
     @pytest.mark.parametrize("text", FORECAST_CASES)
     def test_forecast_bulk_pass_agrees_with_the_row_loop(self, tmp_path, monkeypatch, capsys, text):
@@ -884,16 +914,23 @@ class TestCounterexampleCommand:
             "type": "ValueError", "message": "var-superadditive takes no --weight-denominator",
         }
 
-    # the search's time grows with the denominator, so the CLI stops at 1000
-    @pytest.mark.parametrize("d", [-3, 0, 1, 1001, 10**20])
-    def test_weight_denominator_outside_2_to_1000_exits_two(self, capsys, d):
+    # a search that finds nothing scans C(d - 1, 2) * 100 pairs, so the CLI stops at 20
+    @pytest.mark.parametrize("d", [-3, 0, 1, 21, 1001, 10**20])
+    def test_weight_denominator_outside_2_to_20_exits_two(self, capsys, d):
         argv = ["counterexample", "--input", "-", "--search", "expectile-comonotone",
                 "--level", "0.8", "--weight-denominator", str(d)]
         assert main(argv) == 2
         assert json.loads(capsys.readouterr().err)["error"] == {
             "type": "ValueError",
-            "message": f"weight_denominator must be an integer from 2 to 1000, got {d}",
+            "message": f"weight_denominator must be an integer from 2 to 20, got {d}",
         }
+
+    @pytest.mark.parametrize("d", [2, 20])
+    def test_weight_denominator_at_either_end_of_its_range_is_taken(self, capsys, d):
+        argv = ["counterexample", "--input", "-", "--search", "expectile-comonotone",
+                "--level", "0.8", "--weight-denominator", str(d)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["weight_denominator"] == d
 
     def test_an_unset_weight_denominator_is_null_and_the_search_takes_its_own(self, capsys):
         argv = ["counterexample", "--input", "-", "--search", "expectile-comonotone",
@@ -1243,7 +1280,7 @@ FLAG_VALUES = {
     "threshold": numbers(st.floats(-2.0, 2.0), st.sampled_from([-1e308, 1e308])),
     "search": names(tuple(cli._SEARCHES)),
     # each search takes at most 0.25 s at these denominators
-    "weight-denominator": numbers(st.integers(2, 8), st.sampled_from([-1, 0, 1, 1001, 10**6])),
+    "weight-denominator": numbers(st.integers(2, 8), st.sampled_from([-1, 0, 1, 21, 10**6])),
     "two-step": {"in range": st.just(None)},  # a switch: present or not
 }
 INPUTS = {"measure": PANEL, "allocate": PANEL, "diversify": PANEL, "elicit": SAMPLE,
