@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -84,11 +84,12 @@ SIGNIFICANCE_LEVELS = (0.01, 0.05, 0.10)
 
 @dataclass(frozen=True, eq=False)
 class ViolationSeries:
-    """Per-period indicators that the realized loss exceeded the VaR forecast."""
+    """Per-period indicators that the realized loss exceeded the VaR forecast;
+    ``count`` is their sum."""
 
     indicators: np.ndarray
     alpha: Level
-    count: int
+    count: int = field(init=False)
 
     def __post_init__(self) -> None:
         indicators = np.asarray(self.indicators)
@@ -96,9 +97,8 @@ class ViolationSeries:
             raise InsufficientDataError("a violation series needs at least one period")
         if not np.all((indicators == 0) | (indicators == 1)):
             raise ValueError("indicators must be 0 or 1")
-        if self.count != int(indicators.sum()):
-            raise ValueError(f"count {self.count} does not match the indicator sum")
         object.__setattr__(self, "indicators", indicators)
+        object.__setattr__(self, "count", int(indicators.sum()))
 
     def __len__(self) -> int:
         return self.indicators.size
@@ -119,9 +119,7 @@ def violation_process(
         )
     indicators = (losses > forecasts).astype(np.int8)
     indicators.setflags(write=False)
-    return ViolationSeries(
-        indicators=indicators, alpha=Level.quantile(a), count=int(indicators.sum())
-    )
+    return ViolationSeries(indicators, Level.quantile(a))
 
 
 @dataclass(frozen=True)
@@ -246,13 +244,11 @@ def independence_test(v: ViolationSeries) -> TestResult:
 
     Compares the iid Bernoulli fit against a two-state Markov chain fit;
     the statistic is asymptotically chi-square with one degree of freedom.
-    Degenerate series (no violations, or nothing but violations) cannot move
-    the statistic and return p-value 1 with a note.
+    A degenerate series (no violations, or nothing but violations, as every
+    one-period series is) shows no dependence: statistic 0, p-value 1 and the
+    note ``degenerate``.
     """
-    t = len(v)
-    if t < 2:
-        raise InsufficientDataError("independence test needs at least two periods")
-    if v.count == 0 or v.count == t:
+    if v.count in (0, len(v)):
         return _make_result("independence-markov-lr", 0.0, 1.0, ("degenerate",))
     i = v.indicators.astype(np.intp)
     n00, n01, n10, n11 = np.bincount(2 * i[:-1] + i[1:], minlength=4).tolist()
@@ -335,12 +331,7 @@ def es_quantile_backtest(
     for level, qf in zip(levels, q_series):
         series = violation_process(qf, losses, level)
         coverage.append(unconditional_coverage_test(series))
-        if len(series) >= 2:
-            independence.append(independence_test(series))
-        else:
-            independence.append(
-                _make_result("independence-markov-lr", 0.0, 1.0, ("degenerate",))
-            )
+        independence.append(independence_test(series))
     passed = all(res.p_value >= per_level for res in coverage)
     approximation = np.mean(q_series, axis=0)
     mean_gap = float(np.mean(es_series - approximation))
@@ -463,8 +454,11 @@ def pit_independence_test(
     """Portmanteau (Ljung-Box) test on autocorrelations of the PIT values and
     their low integer powers, Bonferroni-combined across powers."""
     max_lag = _check_integer(max_lag, "max_lag", 1)
+    powers = sorted(_check_integer(k, "power", 1) for k in powers)
     if len(powers) == 0:
         raise ValueError("need at least one power")
+    if len(set(powers)) < len(powers):  # the Bonferroni factor would count it twice
+        raise ValueError(f"powers must not repeat, got {powers}")
     t = len(p)
     if t <= max_lag + 1:
         raise InsufficientDataError(
@@ -473,7 +467,7 @@ def pit_independence_test(
     worst_p = math.inf
     worst_stat = 0.0
     notes = []
-    for k in sorted(powers):
+    for k in powers:
         x = p.z**k
         centered = x - x.mean()
         denom = _dot(centered, centered)

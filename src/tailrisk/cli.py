@@ -456,7 +456,7 @@ def _run_backtest_var(config: argparse.Namespace, warnings: list[str]) -> dict:
         forecasts.column("var_forecast"), forecasts.column("realized"), config.level
     )
     coverage = unconditional_coverage_test(series)
-    results = {
+    return {
         "alpha": config.level,
         "periods": len(series),
         "violations": series.count,
@@ -465,13 +465,8 @@ def _run_backtest_var(config: argparse.Namespace, warnings: list[str]) -> dict:
         "coverage": _test_result_entry(coverage),
         "rejected": coverage.p_value < config.significance,
         "significance": config.significance,
+        "independence": _test_result_entry(independence_test(series)),
     }
-    if len(series) >= 2:
-        results["independence"] = _test_result_entry(independence_test(series))
-    else:
-        results["independence"] = None
-        warnings.append("independence test needs at least two periods")
-    return results
 
 
 def _run_backtest_es(config: argparse.Namespace, warnings: list[str]) -> dict:

@@ -22,11 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .distribution import DiscreteDistribution, Level, LevelKind, _check_level, _finite, level_value
-from .errors import (
-    EmptySampleError,
-    EmptyTailError,
-    ShapeMismatchError,
-)
+from .errors import EmptySampleError, ShapeMismatchError
 from .measures import expectile, mean, value_at_risk
 
 __all__ = [
@@ -112,15 +108,6 @@ class ScoringFunction:
         return cls(ScoreKind.TAIL_MEAN, threshold=float(threshold))
 
 
-def _phi(x: np.ndarray) -> np.ndarray:
-    return x * x / (1.0 + np.abs(x))
-
-
-def _phi_prime(x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x)
-    return np.sign(x) * (ax * ax + 2.0 * ax) / np.square(1.0 + ax)
-
-
 def score(s: ScoringFunction, forecast, observation):
     """Evaluate the score; broadcasts over numpy arrays.
 
@@ -139,7 +126,12 @@ def score(s: ScoringFunction, forecast, observation):
         diff = x - y
         out = ((x >= y) - s.level) * diff * diff * np.sign(diff)
     elif s.kind is ScoreKind.TAIL_MEAN:
-        out = (_phi(y) - _phi(x) - _phi_prime(x) * (y - x)) * (x >= s.threshold)
+        # the Bregman term of phi(v) = v^2/(1 + |v|) as a sum of two terms that are
+        # never negative, zero at x == y and free of x^2: with r = |x|/(1 + |x|) it is
+        # (|y| - sign(x) y) r (2 - r) + ((|y| - |x|)/(1 + |x|))^2/(1 + |y|)
+        ax, ay = np.abs(x), np.abs(y)
+        r, d = ax / (1.0 + ax), (ay - ax) / (1.0 + ax)
+        out = ((ay - np.sign(x) * y) * r * (2.0 - r) + d * d / (1.0 + ay)) * (x >= s.threshold)
     else:  # pragma: no cover
         raise ValueError(f"unknown score kind {s.kind!r}")
     if out.ndim == 0:
@@ -197,13 +189,9 @@ def two_step_es_forecast(
     """
     a = level_value(alpha, LevelKind.QUANTILE)
     values = np.asarray(sample, dtype=float).ravel()
-    if values.size == 0:
-        raise EmptySampleError("cannot forecast from an empty sample")
+    # q_hat is a sample value, so the tail holds at least that one
     q_hat = elicit(ScoringFunction.weighted_absolute_error(a), values)
-    tail = values[values >= q_hat]
-    if tail.size == 0:
-        raise EmptyTailError(f"no sample points at or above the elicited quantile {q_hat}")
-    return q_hat, float(np.mean(tail))
+    return q_hat, float(np.mean(values[values >= q_hat]))
 
 
 class Winner(Enum):

@@ -116,14 +116,40 @@ def expectile_by_minimization(atoms, weights, tau, iterations=200):
 
 
 def wasserstein_by_cdf_area(atoms1, weights1, atoms2, weights2):
-    """Area between the two cdfs, integrated over the merged atom grid."""
+    """Area between the two cdfs, integrated over the merged atom grid, as an
+    exact ``Fraction`` of the float atoms and weights."""
+    def cdf(atoms, weights, x):
+        return sum((Fraction(w) for a, w in zip(atoms, weights) if a <= x), Fraction(0))
+
     xs = sorted(set(list(atoms1) + list(atoms2)))
-    total = 0.0
-    for left, right in zip(xs[:-1], xs[1:]):
-        f1 = cdf_by_counting(atoms1, weights1, left)
-        f2 = cdf_by_counting(atoms2, weights2, left)
-        total += abs(f1 - f2) * (right - left)
-    return total
+    return sum(
+        (abs(cdf(atoms1, weights1, left) - cdf(atoms2, weights2, left)) * Fraction(right - left)
+         for left, right in zip(xs[:-1], xs[1:])),
+        Fraction(0),
+    )
+
+
+def es_by_quantile_integral(atoms, weights, alpha):
+    """Expected shortfall as 1/(1 - alpha) times the integral of the quantile
+    over (alpha, 1), an exact ``Fraction`` of the float atoms and weights."""
+    alpha, total, cum = Fraction(alpha), Fraction(0), Fraction(0)
+    for a, w in sorted(zip(atoms, weights)):
+        low, cum = cum, cum + Fraction(w)
+        total += Fraction(a) * max(Fraction(0), cum - max(low, alpha))
+    return total / (1 - alpha)
+
+
+def tail_mean_bregman(x, y):
+    """phi(y) - phi(x) - phi'(x) (y - x) for phi(v) = v^2/(1 + |v|), the
+    tail-mean score's term at forecast x and observation y, as an exact
+    ``Fraction`` of the two floats."""
+    x, y = Fraction(x), Fraction(y)
+
+    def phi(v):
+        return v * v / (1 + abs(v))
+
+    slope = (x * x + 2 * abs(x)) / (1 + abs(x)) ** 2 * (1 if x > 0 else -1)
+    return phi(y) - phi(x) - slope * (y - x)
 
 
 def pinball_quantile(sample, alpha):

@@ -95,7 +95,7 @@ class TestUnconditionalCoverage:
     def test_expected_count_has_high_p_value(self):
         ind = np.zeros(250, dtype=np.int8)
         ind[:2] = 1
-        v = ViolationSeries(ind, Level.quantile(0.99), 2)
+        v = ViolationSeries(ind, Level.quantile(0.99))
         res = unconditional_coverage_test(v)
         assert res.p_value > 0.5
         assert not res.reject_at[0.05]
@@ -103,7 +103,7 @@ class TestUnconditionalCoverage:
     def test_fifteen_violations_rejects_hard(self):
         ind = np.zeros(250, dtype=np.int8)
         ind[:15] = 1
-        v = ViolationSeries(ind, Level.quantile(0.99), 15)
+        v = ViolationSeries(ind, Level.quantile(0.99))
         res = unconditional_coverage_test(v)
         assert res.p_value < 0.001
         assert all(res.reject_at.values())
@@ -113,13 +113,13 @@ class TestUnconditionalCoverage:
         k = round(t * (1 - alpha))
         ind = np.zeros(t, dtype=np.int8)
         ind[:k] = 1
-        v = ViolationSeries(ind, Level.quantile(alpha), k)
+        v = ViolationSeries(ind, Level.quantile(alpha))
         assert not unconditional_coverage_test(v).reject_at[0.05]
 
     def test_reject_map_is_consistent(self):
         ind = np.zeros(100, dtype=np.int8)
         ind[:9] = 1
-        v = ViolationSeries(ind, Level.quantile(0.99), 9)
+        v = ViolationSeries(ind, Level.quantile(0.99))
         res = unconditional_coverage_test(v)
         for level, flag in res.reject_at.items():
             assert flag == (res.p_value < level)
@@ -129,7 +129,7 @@ class TestUnconditionalCoverage:
         ind = np.zeros(t, dtype=np.int8)
         k = int(t * 0.01)
         ind[:k] = 1
-        v = ViolationSeries(ind, Level.quantile(0.99), k)
+        v = ViolationSeries(ind, Level.quantile(0.99))
         res = unconditional_coverage_test(v)
         assert res.method == "coverage-binomial-exact"
         assert res.notes == ()
@@ -139,12 +139,12 @@ class TestUnconditionalCoverage:
 class TestIndependence:
     def test_alternating_rejects(self):
         ind = np.array([0, 1] * 100, dtype=np.int8)
-        v = ViolationSeries(ind, Level.quantile(0.95), 100)
+        v = ViolationSeries(ind, Level.quantile(0.95))
         res = independence_test(v)
         assert res.reject_at[0.01]
 
     def test_all_zeros_degenerate(self):
-        v = ViolationSeries(np.zeros(50, dtype=np.int8), Level.quantile(0.95), 0)
+        v = ViolationSeries(np.zeros(50, dtype=np.int8), Level.quantile(0.95))
         res = independence_test(v)
         assert res.p_value == 1.0
         assert "degenerate" in res.notes
@@ -152,7 +152,7 @@ class TestIndependence:
     def test_single_violation_at_end(self):
         ind = np.zeros(50, dtype=np.int8)
         ind[-1] = 1
-        v = ViolationSeries(ind, Level.quantile(0.95), 1)
+        v = ViolationSeries(ind, Level.quantile(0.95))
         res = independence_test(v)  # no transition out of state 1; must not crash
         assert 0.0 <= res.p_value <= 1.0
 
@@ -163,7 +163,7 @@ class TestIndependence:
             state = int(rng.uniform() < (0.02 if state == 0 else 0.5))
             ind.append(state)
         ind = np.array(ind, dtype=np.int8)
-        v = ViolationSeries(ind, Level.quantile(0.96), int(ind.sum()))
+        v = ViolationSeries(ind, Level.quantile(0.96))
         assert independence_test(v).reject_at[0.01]
 
     def test_calibration_at_five_percent_rate(self):
@@ -173,7 +173,7 @@ class TestIndependence:
         rejections = 0
         for _ in range(1000):
             ind = (rng.uniform(size=10000) < 0.05).astype(np.int8)
-            v = ViolationSeries(ind, Level.quantile(0.95), int(ind.sum()))
+            v = ViolationSeries(ind, Level.quantile(0.95))
             rejections += independence_test(v).p_value < 0.05
         assert 0.03 <= rejections / 1000 <= 0.07
 
@@ -185,14 +185,25 @@ class TestIndependence:
         rejections = 0
         for _ in range(1000):
             ind = (rng.uniform(size=10000) < 0.01).astype(np.int8)
-            v = ViolationSeries(ind, Level.quantile(0.99), int(ind.sum()))
+            v = ViolationSeries(ind, Level.quantile(0.99))
             rejections += independence_test(v).p_value < 0.05
         assert rejections / 1000 <= 0.07
 
-    def test_needs_two_periods(self):
-        v = ViolationSeries(np.array([1], dtype=np.int8), Level.quantile(0.9), 1)
-        with pytest.raises(InsufficientDataError):
-            independence_test(v)
+    @pytest.mark.parametrize("indicator", [0, 1])
+    def test_one_period_is_degenerate(self, indicator):
+        # one period has 0 or T violations, so the degenerate rule decides it
+        v = ViolationSeries(np.array([indicator], dtype=np.int8), Level.quantile(0.9))
+        res = independence_test(v)
+        assert (res.method, res.statistic, res.p_value, res.notes) == (
+            "independence-markov-lr", 0.0, 1.0, ("degenerate",)
+        )
+        assert not any(res.reject_at.values())
+
+    def test_count_is_the_indicator_sum(self):
+        ind = np.array([0, 1, 1, 0, 1], dtype=np.int8)
+        assert ViolationSeries(ind, Level.quantile(0.9)).count == 3
+        with pytest.raises(TypeError):
+            ViolationSeries(ind, Level.quantile(0.9), 3)
 
 
 class TestEsQuantileBacktest:
@@ -255,6 +266,15 @@ class TestEsQuantileBacktest:
             es_quantile_backtest(np.zeros(t), [np.zeros(t)], np.zeros(t), 0.95)
         with pytest.raises(ValueError):
             es_quantile_backtest(np.zeros(t), [np.zeros(t)] * 17, np.zeros(t), 0.95)
+
+    @pytest.mark.parametrize("loss", [0.0, 5.0])
+    def test_one_period_takes_the_independence_test(self, loss):
+        # every level's independence entry is the test itself: degenerate at T = 1
+        qs = [np.array([v]) for v in (1.0, 2.0, 3.0, 4.0)]
+        result = es_quantile_backtest([4.5], qs, [loss], 0.95)
+        for level, qf, res in zip(result.levels, qs, result.independence):
+            assert res == independence_test(violation_process(qf, [loss], level))
+            assert (res.statistic, res.p_value, res.notes) == (0.0, 1.0, ("degenerate",))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
@@ -442,6 +462,19 @@ class TestPitIndependence:
             PitSeries(z, randomized=False, rng_seed=None), max_lag=1, powers=(1,)
         )
         assert res.reject_at[0.01]
+
+    @pytest.mark.parametrize("powers", [(-1,), (0, 1), (0.5,), (2.0,), ("2",)])
+    def test_a_power_that_is_not_a_positive_integer_is_refused(self, powers):
+        # unchecked, power -1 on a z holding 0.0 failed with "cannot convert float NaN to integer"
+        z = np.linspace(0.0, 1.0, 50)
+        with pytest.raises(ValueError, match="^power must be an integer of at least 1, got "):
+            pit_independence_test(PitSeries(z, randomized=False, rng_seed=None), powers=powers)
+
+    def test_a_repeated_power_is_refused(self):
+        # unchecked, (1, 1) counted one test twice in the Bonferroni factor
+        z = np.random.default_rng(3).uniform(size=100)
+        with pytest.raises(ValueError, match=r"^powers must not repeat, got \[1, 1\]$"):
+            pit_independence_test(PitSeries(z, randomized=True, rng_seed=0), powers=(1, 1))
 
     def test_iid_uniforms_pass(self):
         rng = np.random.default_rng(17)

@@ -815,6 +815,25 @@ class TestBacktestVarCommand:
         path = write(tmp_path / "f.csv", "\n".join(rows) + "\n")
         assert main(["backtest-var", "--input", path, "--level", "0.99"]) == 0
 
+    @pytest.mark.parametrize("realized", ["0.5", "9"])
+    def test_one_period_gets_the_independence_entry_of_backtest_es(
+        self, tmp_path, capsys, realized
+    ):
+        # one rule decides a series that cannot show dependence, in both commands
+        path = write(tmp_path / "f.csv", "period,realized,var_forecast,es_forecast,q1,q2,q3,q4\n"
+                     f"1,{realized},1,4,1,2,3,4\n")
+        reports = []
+        for command in ("backtest-var", "backtest-es"):
+            assert main([command, "--input", path, "--level", "0.9"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        var, es = reports
+        assert var["warnings"] == es["warnings"] == []
+        assert var["results"]["independence"] == {
+            "method": "independence-markov-lr", "statistic": 0.0, "p_value": 1.0,
+            "reject_at": {"0.01": False, "0.05": False, "0.10": False}, "notes": ["degenerate"],
+        }
+        assert es["results"]["independence"] == [var["results"]["independence"]] * 4
+
 
 class TestBacktestEsCommand:
     def test_runs_with_quantile_columns(self, tmp_path, capsys):

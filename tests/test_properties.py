@@ -1,8 +1,8 @@
 """Property tests over random laws and panels, with equal and unequal weights:
 construction against the ``np.unique`` merge, VaR and ES against the scan and
 tail-form oracles, the expectile against the bisection reference, full ES
-allocation, and the paper's coherence and comonotone-additivity table on
-laws where every step is exact; PIT values against the law-based PIT; and
+allocation, and the paper's coherence, comonotone-additivity and robustness
+rows on laws where every step is exact; PIT values against the law-based PIT; and
 panel and forecast files that parse back to exactly the numbers written."""
 
 import math
@@ -23,6 +23,7 @@ from tailrisk import (
     expectile,
     pit_series,
     value_at_risk,
+    wasserstein1,
 )
 from tailrisk import cli
 
@@ -220,6 +221,28 @@ def test_var_and_es_are_comonotone_additive_without_slack(case):
     law1, law2, law_sum = comonotone_sum(pair)
     for measure in (value_at_risk, expected_shortfall):
         assert measure(law_sum, alpha) == measure(law1, alpha) + measure(law2, alpha)
+
+
+@st.composite
+def eighths_laws(draw):
+    """A law on up to five integer atoms with weights that are positive multiples of 1/8."""
+    t = draw(st.integers(1, 5))
+    atoms = draw(st.lists(small_ints, min_size=t, max_size=t))
+    cuts = draw(st.lists(st.integers(1, 7), min_size=t - 1, max_size=t - 1, unique=True))
+    return DiscreteDistribution(np.array(atoms, dtype=float), np.diff([0, *sorted(cuts), 8]) / 8)
+
+
+@settings(PROPERTY, max_examples=500)
+@given(eighths_laws(), eighths_laws(), st.sampled_from([0.5, 0.75, 0.875]))
+def test_es_is_lipschitz_in_wasserstein_without_slack(law1, law2, alpha):
+    # the paper's robustness row; on these laws ES and W1 are exact
+    es1, es2 = (expected_shortfall(law, alpha) for law in (law1, law2))
+    w = wasserstein1(law1, law2)
+    for law, es in ((law1, es1), (law2, es2)):
+        assert es == oracles.es_by_quantile_integral(law.atoms.tolist(), law.weights.tolist(), alpha)
+    exact = (law1.atoms.tolist(), law1.weights.tolist(), law2.atoms.tolist(), law2.weights.tolist())
+    assert w == oracles.wasserstein_by_cdf_area(*exact)
+    assert abs(es1 - es2) <= w / (1.0 - alpha)
 
 
 # finite values whose row sums cannot overflow, written at full precision

@@ -2,9 +2,13 @@
 expected-shortfall forecast, and forecast comparison."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailrisk import (
     DiscreteDistribution,
@@ -42,6 +46,17 @@ class TestScoreValues:
         s = ScoringFunction.tail_mean(1.0)
         assert score(s, 2.0, 2.0) == 0.0
         assert score(s, 0.5, 9.0) == 0.0  # forecast below the cutoff scores zero
+
+    @pytest.mark.parametrize("threshold", [1e150, 1e160, 1e300])
+    def test_tail_mean_score_is_exact_at_a_huge_threshold(self, threshold):
+        # the term once squared the forecast: it scored 0.0 at 1e150 and NaN from 1e155 on
+        sample = np.round(np.random.default_rng(131).normal(0, 2, 200), 3)
+        s = ScoringFunction.tail_mean(threshold)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mean_score(s, elicit(s, sample), sample)
+        want = sum(oracles.tail_mean_bregman(threshold, y) for y in sample) / sample.size
+        assert abs(Fraction(got) - want) <= want * 2.0**-50  # a few ulps of rounding
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(83)
@@ -280,6 +295,10 @@ class TestTwoStepForecast:
         with pytest.raises(ValueError):
             two_step_es_forecast([1.0, 2.0], Level.expectile(0.9))
 
+    def test_rejects_an_empty_sample(self):
+        with pytest.raises(EmptySampleError):
+            two_step_es_forecast([], 0.9)
+
 
 class TestCompareForecasts:
     def test_zero_score_wins(self):
@@ -340,3 +359,23 @@ def test_mean_score_refuses_non_finite_input(forecast, sample, name):
 def test_mean_score_matches_manual_average():
     s = ScoringFunction.absolute_error()
     assert mean_score(s, 1.0, [0.0, 2.0, 4.0]) == pytest.approx((1 + 1 + 3) / 3)
+
+
+# forecasts anywhere in the double range; observations whose square cannot overflow
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.floats(-1e150, 1e150, allow_nan=False),
+    st.booleans(),
+)
+def test_tail_mean_term_is_accurate_and_never_negative(x, y, same):
+    y = x if same and abs(x) <= 1e150 else y
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = score(ScoringFunction.tail_mean(-1e300), x, y)
+    want = oracles.tail_mean_bregman(x, y)
+    assert got >= 0.0
+    if x == y:
+        assert got == 0.0
+    else:  # a few ulps, or an underflow far below any score's size
+        assert abs(Fraction(got) - want) <= want * 2.0**-50 + Fraction(2.0**-1000)
