@@ -1,7 +1,7 @@
 """The ``tailrisk`` command, also run as ``python -m tailrisk``. It sets numpy's BLAS
-to one thread, overriding any thread setting, before numpy is imported: more
-threads only burn CPU beside the commands' dot products, and change how a long
-one is summed, so the last digits of a report."""
+to one thread, overriding any thread setting, before numpy is imported. This saves
+CPU only: the package calls no BLAS routine, but idle BLAS worker threads still
+burn CPU, and no report depends on the thread count."""
 
 import os
 import sys

@@ -143,31 +143,8 @@ class AllocationResult:
 
 def es_contributions(panel: LossPanel, alpha: "Level | float") -> AllocationResult:
     """Expected-shortfall contributions E[L_i | tail weighting] per position."""
-    return _es_contributions(panel, level_value(alpha, LevelKind.QUANTILE), panel.portfolio_law())
-
-
-def _es_contributions(panel: LossPanel, a: float, law: DiscreteDistribution) -> AllocationResult:
-    portfolio = panel.portfolio_losses()
-    q = law.quantile(a)
-    above = portfolio > q
-    at = portfolio == q
-    w = panel.weights
-    p_above = float(np.sum(w[above]))
-    p_at = float(np.sum(w[at]))
-    boundary_mass = max((1.0 - a) - p_above, 0.0)
-    beta = boundary_mass / p_at if p_at > 0.0 else 0.0
-    tail_weights = w * (above + beta * at) / (1.0 - a)
-    contributions = tuple(_dot(tail_weights, column) for column in panel.rows.T)
-    total = expected_shortfall(law, a)
-    residual = total - math.fsum(contributions)
-    return AllocationResult(
-        measure=MeasureKind.es(a),
-        total=total,
-        contributions=contributions,
-        residual=residual,
-        # the flag ignores rounding-level boundary mass; the weighting keeps it
-        # so the full-allocation identity stays exact
-        nonunique_gradient=boundary_mass > 1e-12,
+    return _allocate(
+        panel, MeasureKind.es(level_value(alpha, LevelKind.QUANTILE)), panel.portfolio_law()
     )
 
 
@@ -175,54 +152,64 @@ def expectile_contributions(panel: LossPanel, tau: "Level | float") -> Allocatio
     """Expectile contributions via the asymmetric tail-weighting ratio.
 
     Rows strictly above the portfolio expectile carry weight tau, rows at or
-    below it 1 - tau, normalized to total mass one. Requires tau >= 1/2 (the
-    coherent range).
+    below it 1 - tau, normalized to total mass one. Requires tau >= 1/2: the
+    package allocates coherent measures only.
     """
-    return _expectile_contributions(
-        panel, level_value(tau, LevelKind.EXPECTILE), panel.portfolio_law()
+    return _allocate(
+        panel, MeasureKind.expectile(level_value(tau, LevelKind.EXPECTILE)), panel.portfolio_law()
     )
 
 
 def _check_expectile_tau(t: float) -> None:
-    """Expectile contributions need tau >= 1/2, the coherent range."""
+    """Expectile contributions need tau >= 1/2. The row weighting gives the
+    gradient below 1/2 as well, but the package allocates coherent measures
+    only (so no VaR either), and the expectile is coherent from 1/2 on."""
     if t < 0.5:
         raise ValueError(f"expectile contributions require tau >= 1/2, got {t}")
 
 
-def _expectile_contributions(
-    panel: LossPanel, t: float, law: DiscreteDistribution
-) -> AllocationResult:
-    _check_expectile_tau(t)
-    portfolio = panel.portfolio_losses()
-    e = expectile(law, t)
-    above = portfolio > e
-    w = panel.weights
-    p_above = float(np.sum(w[above]))
-    denominator = t * p_above + (1.0 - t) * (1.0 - p_above)
-    row_weights = w * np.where(above, t, 1.0 - t) / denominator
-    contributions = tuple(_dot(row_weights, column) for column in panel.rows.T)
-    residual = e - math.fsum(contributions)
-    return AllocationResult(
-        measure=MeasureKind.expectile(t),
-        total=e,
-        contributions=contributions,
-        residual=residual,
-        nonunique_gradient=bool(np.any(portfolio == e)),
-    )
-
-
-# the measures with Euler contributions, and their kernels
-_KERNELS = {
-    MeasureFamily.EXPECTED_SHORTFALL: _es_contributions,
-    MeasureFamily.EXPECTILE: _expectile_contributions,
-}
+# the measures with Euler contributions
+_EULER_FAMILIES = (MeasureFamily.EXPECTED_SHORTFALL, MeasureFamily.EXPECTILE)
 
 
 def _allocate(panel: LossPanel, kind: MeasureKind, law: DiscreteDistribution) -> AllocationResult:
-    """The Euler allocation of ``kind``, given the panel's portfolio law."""
-    if kind.family not in _KERNELS:
+    """The Euler allocation of ``kind``, given the panel's portfolio law: each
+    contribution is its column's sum under the measure's row weighting."""
+    if kind.family not in _EULER_FAMILIES:
         raise ValueError(f"contributions are defined for es and expectile, not {kind.family.value}")
-    return _KERNELS[kind.family](panel, kind.level.value, law)
+    portfolio = panel.portfolio_losses()
+    w = panel.weights
+    if kind.family is MeasureFamily.EXPECTED_SHORTFALL:
+        a = kind.level.value
+        q = law.quantile(a)
+        above = portfolio > q
+        at = portfolio == q
+        p_above = float(np.sum(w[above]))
+        p_at = float(np.sum(w[at]))
+        boundary_mass = max((1.0 - a) - p_above, 0.0)
+        beta = boundary_mass / p_at if p_at > 0.0 else 0.0
+        row_weights = w * (above + beta * at) / (1.0 - a)
+        total = expected_shortfall(law, a)
+        # the flag ignores rounding-level boundary mass; the weighting keeps it
+        # so the full-allocation identity stays exact
+        nonunique_gradient = boundary_mass > 1e-12
+    else:
+        t = kind.level.value
+        _check_expectile_tau(t)
+        total = expectile(law, t)
+        above = portfolio > total
+        p_above = float(np.sum(w[above]))
+        denominator = t * p_above + (1.0 - t) * (1.0 - p_above)
+        row_weights = w * np.where(above, t, 1.0 - t) / denominator
+        nonunique_gradient = bool(np.any(portfolio == total))
+    contributions = tuple(_dot(row_weights, column) for column in panel.rows.T)
+    return AllocationResult(
+        measure=kind,
+        total=total,
+        contributions=contributions,
+        residual=total - math.fsum(contributions),
+        nonunique_gradient=nonunique_gradient,
+    )
 
 
 def _index(total: float, standalone: Sequence[float]) -> float:
@@ -301,13 +288,14 @@ def diversify(panel: LossPanel, kind: MeasureKind) -> DiversificationResult:
     """Every diversification result from one allocation, the portfolio law
     and each position's law built once. Each value equals the one
     :func:`diversification_index`, :func:`diversification_benefit` or
-    :func:`marginal_diversification_index` returns. An expectile below 1/2
-    has no Euler allocation, so there this raises :class:`ValueError`, as the
-    marginal index does, though :func:`diversification_index` has a value."""
+    :func:`marginal_diversification_index` returns. Only coherent measures
+    are allocated, so an expectile below 1/2 raises :class:`ValueError` here,
+    as the marginal index does, though :func:`diversification_index` has a
+    value."""
     law = panel.portfolio_law()
     total = evaluate(law, kind)
     rac_total = total - mean(law)  # risk_adjusted_capital(law, kind)
-    allocation = _allocate(panel, kind, law) if kind.family in _KERNELS else None
+    allocation = _allocate(panel, kind, law) if kind.family in _EULER_FAMILIES else None
     standalone, rac_parts = [], []
     for i in range(panel.n_positions):
         column = panel.column_law(i)  # one position's law at a time

@@ -519,7 +519,6 @@ def find_expectile_comonotone_counterexample(
     factor_atoms: Sequence[float] = (0.0, 1.0, 2.0),
     map_values: Sequence[float] = (0.0, 1.0, 2.0),
     weight_denominator: int = 8,
-    min_gap: float = 1e-6,
 ) -> ComonotoneCounterexample:
     """Exhaustively search comonotone pairs for expectile non-additivity.
 
@@ -527,7 +526,7 @@ def find_expectile_comonotone_counterexample(
     multiples of 1/weight_denominator; the maps run over all nondecreasing
     assignments of ``map_values`` to the factor atoms. Returns the first pair
     (in deterministic iteration order) whose additivity gap exceeds
-    ``min_gap``; raises :class:`CounterexampleNotFoundError` if the grid is
+    1e-6; raises :class:`CounterexampleNotFoundError` if the grid is
     exhausted, in which case widen it. The grid holds C(d - 1, k - 1) factors
     for k atoms and denominator d, each paired with every two maps, so a
     search that finds nothing on the default atoms and maps scans
@@ -550,7 +549,7 @@ def find_expectile_comonotone_counterexample(
                 e2 = expectile(law2, t)
                 e_sum = expectile(law_sum, t)
                 gap = e_sum - (e1 + e2)
-                if abs(gap) > min_gap:
+                if abs(gap) > 1e-6:
                     return ComonotoneCounterexample(
                         pair=pair,
                         tau=t,
@@ -576,34 +575,31 @@ class VarSuperadditivityExample:
 
 def find_var_superadditivity_example(
     alpha: "Level | float",
-    loss_values: Sequence[float] = (10.0,),
     tail_probabilities: Sequence[float] = (0.01, 0.02, 0.04, 0.05, 0.08),
-    min_gap: float = 1e-12,
 ) -> VarSuperadditivityExample:
     """Search independent products of two-point loss laws for VaR superadditivity.
 
-    Each marginal puts mass p on a positive loss value and 1-p on zero; the
-    joint law is the independent product. Returns the first pair (in
-    deterministic order) with VaR(L1 + L2) > VaR(L1) + VaR(L2).
+    Each marginal puts mass p on a loss of 10 and 1-p on zero; the joint law
+    is the independent product. Returns the first pair (in deterministic
+    order) with VaR(L1 + L2) > VaR(L1) + VaR(L2) + 1e-12.
     """
     a = level_value(alpha, LevelKind.QUANTILE)
-    for v1, v2 in itertools.product(loss_values, repeat=2):
-        for p1, p2 in itertools.product(tail_probabilities, repeat=2):
-            rows = [[0.0, 0.0], [0.0, v2], [v1, 0.0], [v1, v2]]
-            weights = [(1.0 - p1) * (1.0 - p2), (1.0 - p1) * p2, p1 * (1.0 - p2), p1 * p2]
-            panel = LossPanel.from_rows(rows, weights=weights)
-            var_sum = value_at_risk(panel.portfolio_law(), a)
-            var_1 = value_at_risk(panel.column_law(0), a)
-            var_2 = value_at_risk(panel.column_law(1), a)
-            gap = var_sum - (var_1 + var_2)
-            if gap > min_gap:
-                return VarSuperadditivityExample(
-                    panel=panel,
-                    alpha=a,
-                    portfolio_var=var_sum,
-                    position_vars=(var_1, var_2),
-                    gap=gap,
-                )
+    rows = [[0.0, 0.0], [0.0, 10.0], [10.0, 0.0], [10.0, 10.0]]
+    for p1, p2 in itertools.product(tail_probabilities, repeat=2):
+        weights = [(1.0 - p1) * (1.0 - p2), (1.0 - p1) * p2, p1 * (1.0 - p2), p1 * p2]
+        panel = LossPanel.from_rows(rows, weights=weights)
+        var_sum = value_at_risk(panel.portfolio_law(), a)
+        var_1 = value_at_risk(panel.column_law(0), a)
+        var_2 = value_at_risk(panel.column_law(1), a)
+        gap = var_sum - (var_1 + var_2)
+        if gap > 1e-12:
+            return VarSuperadditivityExample(
+                panel=panel,
+                alpha=a,
+                portfolio_var=var_sum,
+                position_vars=(var_1, var_2),
+                gap=gap,
+            )
     raise CounterexampleNotFoundError(
         "no VaR superadditivity instance in the search grid; widen the grid"
     )

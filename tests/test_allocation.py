@@ -150,6 +150,38 @@ class TestExpectileContributions:
         assert result.total == 2.0
 
 
+EULER_CASES = [
+    pytest.param(es_contributions, expected_shortfall, MeasureKind.es, a, id=f"es-{a}")
+    for a in (0.5, 0.9, 0.975, 0.99)
+] + [
+    pytest.param(expectile_contributions, expectile, MeasureKind.expectile, t, id=f"expectile-{t}")
+    for t in (0.5, 0.9, 0.99)
+]
+
+
+class TestEulerProperty:
+    """Each contribution is the measure's derivative along its position:
+    scaling column i by 1 + h moves the portfolio measure by h * c_i."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("contributions, measure, kind, level", EULER_CASES)
+    def test_contribution_is_the_directional_derivative(
+        self, seed, contributions, measure, kind, level
+    ):
+        p = LossPanel.from_rows(np.random.default_rng(seed).standard_t(4, size=(1000, 4)))
+        result = contributions(p, level)
+        assert result.measure == kind(level)
+        assert not result.nonunique_gradient
+        h = 1e-7
+        for i, c in enumerate(result.contributions):
+            up = measure(p.scale_position(i, 1.0 + h).portfolio_law(), level)
+            down = measure(p.scale_position(i, 1.0 - h).portfolio_law(), level)
+            assert abs(c - (up - down) / (2.0 * h)) <= 1e-6
+            # the marginal index divides the same contribution by the standalone measure
+            standalone = measure(p.column_law(i), level)
+            assert marginal_diversification_index(p, i, kind(level)) == c / standalone
+
+
 class TestDiversificationIndex:
     def test_single_position_is_one(self):
         p = LossPanel.from_rows([[1.0], [2.0], [4.0]])
