@@ -74,7 +74,8 @@ class LossPanel:
         lo, hi = weights.item(weights.argmin()), weights.item(weights.argmax())
         if not 0.0 < lo <= hi < math.inf:  # False on NaN
             raise ValueError("row weights must be positive and finite")
-        if abs(math.fsum(weights.tolist()) - 1.0) > 1e-12:
+        # n equal weights sum to lo * n rounded once, as fsum gives, without a list
+        if abs((lo * weights.size if lo == hi else math.fsum(weights.tolist())) - 1.0) > 1e-12:
             raise ValueError("row weights must sum to 1")
         rows.setflags(write=False)
         weights.setflags(write=False)

@@ -103,47 +103,39 @@ def _finite_floats(cells: Sequence[str], locate: Callable[[int], tuple]) -> list
     return values
 
 
-class _Unjudged(Exception):
-    """A block of data lines holds one that the bulk pass cannot judge."""
-
-
 def _judged(block: list[str]) -> list[str]:
     """``block``, unless a line of it is blank or whitespace only, or longer
-    than the csv field size limit: then raise :class:`_Unjudged`. Each test
-    is one C-level pass over the block."""
+    than the csv field size limit: then raise :class:`ValueError`, which
+    ``np.loadtxt`` passes on. Each test is one C-level pass over the block."""
     if any(map(str.isspace, block)) or max(map(len, block)) > csv.field_size_limit():
-        raise _Unjudged
+        raise ValueError("a line the bulk pass cannot judge")
     return block
 
 
 def _bulk_floats(lines: TextIO, columns: dict[str, type]) -> np.ndarray | None:
     """The rest of ``lines`` as T records with one field per entry of
     ``columns``, in one C-level pass. A field's type says how its cells are
-    read: ``float`` cells must be finite numbers, ``np.int64`` cells integers,
-    and ``object`` cells are kept as text.
+    read: ``float`` cells as numbers, ``np.int64`` cells as integers, and
+    ``object`` cells are kept as text.
 
     ``None`` when only the row loop can say what the lines hold: the pass
-    fails, meets a value that is not finite or a row of another width, or
-    comes to a line it cannot judge. That is a blank line, which
-    ``np.loadtxt`` would skip, or one long enough to hold a cell over the csv
-    field size limit. The lines are judged a block of about 64 KiB at a
-    time. The pass accepts a subset of what ``float()`` and ``int()`` accept
-    and gives the same values.
+    fails, meets a row of another width, or comes to a line it cannot judge.
+    That is a blank line, which ``np.loadtxt`` would skip, or one long enough
+    to hold a cell over the csv field size limit. The lines are judged a
+    block of about 64 KiB at a time. The pass accepts a subset of what
+    ``float()`` and ``int()`` accept and gives the same values.
     """
     blocks = iter(lambda: lines.readlines(1 << 16), [])
     try:
         first = next(blocks, None)  # read here, so a byte that does not decode is the row loop's
         if first is None:  # no data lines, of which np.loadtxt would warn
             return None
-        rows = np.loadtxt(
+        return np.loadtxt(
             itertools.chain.from_iterable(map(_judged, itertools.chain((first,), blocks))),
             delimiter=",", comments=None, quotechar='"', ndmin=1, dtype=list(columns.items()),
         )
-    except (ValueError, _Unjudged):
+    except ValueError:
         return None
-    if not all(np.isfinite(rows[name]).all() for name, kind in columns.items() if kind is float):
-        return None
-    return rows
 
 
 def _read_table(path: Path, columns: Callable, row_loop: Callable) -> tuple:
@@ -154,6 +146,8 @@ def _read_table(path: Path, columns: Callable, row_loop: Callable) -> tuple:
     what else the file's kind asks of them and gives each column's cell type.
     The rows are the records of :func:`_bulk_floats` where it can be trusted,
     else what ``row_loop(reader, names)`` returns, which defines what they hold.
+    The loop accepts each record the pass reads to finite values, so it starts
+    at the first record that holds a non-finite value, to report it.
     """
     with _open_csv(path) as (handle, reader):
         names = [name.strip() for name in next(reader, [])]
@@ -166,9 +160,13 @@ def _read_table(path: Path, columns: Callable, row_loop: Callable) -> tuple:
             seen.add(name)
         types = columns(names)
         rows = _bulk_floats(handle, types)
+    floats = [name for name, kind in types.items() if kind is float]
+    start = 0  # the first record the row loop reads
+    if rows is not None and not all(np.isfinite(rows[name]).all() for name in floats):
+        rows, start = None, int(np.argmin(np.all([np.isfinite(rows[n]) for n in floats], 0)))
     if rows is None:
         with _open_csv(path) as (_, reader):
-            next(reader)
+            next(itertools.islice(reader, start + 1, start + 1), None)  # header, earlier records
             rows = row_loop(reader, names)
     return names, rows
 
@@ -196,7 +194,7 @@ def _panel_rows(reader: Iterator[list[str]], names: list[str]) -> list[list[floa
 def parse_panel_csv(path: str | Path) -> LossPanel:
     """Read a loss panel: a header row of unique position names, then numeric
     rows. The row loop defines what a panel may hold; a bulk pass reads the
-    file, and the loop reads it again only when that pass cannot be trusted.
+    file, and the loop reads again what that pass cannot vouch for.
 
     Losses use the positive-for-loss sign convention.
     """
@@ -354,8 +352,8 @@ def parse_forecasts_csv(path: str | Path) -> ForecastColumns:
     ``q1..qK`` are optional, and so are their cells, except that a row fills
     every ``q`` column. Scenario files hold one scenario value per line and
     are resolved relative to the CSV's directory. As for a panel, a bulk pass
-    reads the file and the row loop reads it again only when that pass cannot
-    be trusted. Errors come from the header, then row by row, then from the
+    reads the file and the row loop reads again what that pass cannot vouch
+    for. Errors come from the header, then row by row, then from the
     scenario files in row order.
     """
     path = Path(path)

@@ -92,8 +92,8 @@ def _finite(values: Sequence[float], name: str) -> np.ndarray:
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """The sum of ``a * b`` by numpy's pairwise summation, with no BLAS and no
-    threads, so it has the same bits on every host; every sum of products in
-    the package goes through it."""
+    threads, so it has the same bits on every host. Every sum of products in
+    the package goes through it, except ``expectile``'s running prefix sum."""
     return float(np.add.reduce(a * b))
 
 

@@ -131,7 +131,7 @@ def score(s: ScoringFunction, forecast, observation):
         # (|y| - sign(x) y) r (2 - r) + ((|y| - |x|)/(1 + |x|))^2/(1 + |y|)
         ax, ay = np.abs(x), np.abs(y)
         r, d = ax / (1.0 + ax), (ay - ax) / (1.0 + ax)
-        out = ((ay - np.sign(x) * y) * r * (2.0 - r) + d * d / (1.0 + ay)) * (x >= s.threshold)
+        out = ((ay - np.sign(x) * y) * r * (2.0 - r) + d * (d / (1.0 + ay))) * (x >= s.threshold)
     else:  # pragma: no cover
         raise ValueError(f"unknown score kind {s.kind!r}")
     if out.ndim == 0:

@@ -50,6 +50,19 @@ class TestLossPanel:
         with pytest.raises(ValueError):
             LossPanel.from_rows([[1.0], [2.0]], weights=[1.0, 0.0])
 
+    @pytest.mark.parametrize("n", [4, 10, 10**5])
+    def test_equal_weights_are_judged_by_their_exact_sum(self, n):
+        # n equal weights are summed as w * n, rounded once, which is what fsum gives
+        rows = np.zeros((n, 1))
+        for excess, refused in ((2e-12, True), (0.5e-12, False)):
+            weights = np.full(n, (1.0 + excess) / n)
+            assert (abs(math.fsum(weights.tolist()) - 1.0) > 1e-12) == refused
+            if refused:
+                with pytest.raises(ValueError, match="row weights must sum to 1"):
+                    LossPanel.from_rows(rows, weights=weights)
+            else:
+                LossPanel.from_rows(rows, weights=weights)
+
     def test_rejects_name_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             LossPanel.from_rows([[1.0, 2.0]], positions=("a",))

@@ -353,6 +353,13 @@ BULK_CASES = [
     # limit, counting its "\n", and one longer
     *WHITESPACE_LINES,
     *(pytest.param(text, id=name) for name, (text, _) in LONG_CASES.items()),
+    # a non-finite value the bulk pass reads sends the row loop to its record:
+    # after a quoted cell spanning lines, after \r and \r\n endings, and in a
+    # block after the first
+    'a,b\n1,2\n"3\n",4\n5,6\n7,nan\n',
+    'a,b\n"1\r",2\n"3\r\n",4\n5,-inf\n',
+    *("a,b\n1,2\n3,4\n5,inf\n-inf,6\n".replace("\n", eol) for eol in ("\r", "\r\n")),
+    pytest.param("loss\n" + "1.5\n" * 20000 + "nan\n2\n", id="nan-after-64KiB"),
 ]
 
 
@@ -457,6 +464,18 @@ FORECAST_CASES = [
             '"s.txt',
         )
     ),
+    # late non-finite values, as for a panel
+    'period,realized,note,var_forecast\n1,"0.5\n",1,1.0\n2,0.6,"a\nb",1.0\n3,0.7,c,nan\n',
+    *(
+        "period,realized,var_forecast,q1,q2\n1,0.5,1.0,3,4\n2,0.6,1.0,3,inf\n3,-inf,1.0,3,4\n"
+        .replace("\n", eol)
+        for eol in ("\r", "\r\n")
+    ),
+    pytest.param(
+        "period,realized,var_forecast\n" + "".join(f"{i},0.5,1.0\n" for i in range(1, 8001))
+        + "8001,0.5,nan\n8002,x,1.0\n",
+        id="nan-after-64KiB",
+    ),
 ]
 SCENARIO_FILES = {
     "s.txt": "0.1\n0.2\n",
@@ -524,7 +543,7 @@ class TestBulkParse:
             ("a,b\n 1 ,\t2\n", True),
             ("a,b\n1,2\n\n", False),
             ("a,b\n1_0,2\n", False),
-            ("a,b\n1,nan\n", False),
+            ("a,b\n1,nan\n", True),
             ("a,b,c\n1,2\n", False),
             ("a\n" + "0" * 140000 + "1\n", False),
             *((text, False) for text in WHITESPACE_LINES),
@@ -581,7 +600,7 @@ class TestBulkParse:
             ("period,realized,var_forecast\n1,0.5,\n", False),
             ("period,realized,var_forecast\n1,0.5\n", False),
             ("period,realized,var_forecast\n1,0.5,1.0,2\n", False),
-            ("period,realized,var_forecast\n1,0.5,nan\n", False),
+            ("period,realized,var_forecast\n1,0.5,nan\n", True),
         ],
     )
     def test_forecast_bulk_pass_is_trusted_only_where_it_can_judge(
@@ -903,6 +922,14 @@ class TestElicitCommand:
     def test_multi_column_rejected(self, tmp_path):
         path = write(tmp_path / "p.csv", "a,b\n1,2\n")
         assert main(["elicit", "--input", path, "--score", "squared-error"]) == 2
+
+    def test_tail_mean_score_of_huge_losses_is_finite(self, tmp_path, capsys):
+        # d = (|y| - |x|)/(1 + |x|) is 1e200 at x = 0; squared before dividing it overflowed
+        path = write(tmp_path / "s.csv", "loss\n1e200\n-1e200\n")
+        code = main(["elicit", "--input", path, "--score", "tail-mean", "--threshold", "0"])
+        assert code == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert (results["estimate"], results["mean_score"]) == (0.0, 1e200)
 
 
 class TestCounterexampleCommand:

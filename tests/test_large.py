@@ -1,8 +1,9 @@
 """Regression tests at the sizes the package is fed: panels of 10^5 and 10^6
 rows, with equal and with unequal row weights, and a forecast of 2000 periods
 of 250 scenarios. Measures and allocations must stay exact here, not only on
-test-sized inputs, the CLI must keep its exit contract, and a PIT backtest
-must hold little more than its scenario values."""
+test-sized inputs, the CLI must keep its exit contract, a PIT backtest
+must hold little more than its scenario values, and a file refused for one
+late cell must pass only that cell's record through the row loop."""
 
 import json
 import math
@@ -26,7 +27,8 @@ from tailrisk import (
     pit_series,
     value_at_risk,
 )
-from tailrisk.cli import main, parse_forecasts_csv
+from tailrisk import ParseError, cli
+from tailrisk.cli import main, parse_forecasts_csv, parse_panel_csv
 
 import oracles
 
@@ -119,6 +121,42 @@ def _write_panel(path: Path, rows: np.ndarray) -> str:
     header = ",".join(f"p{i + 1}" for i in range(rows.shape[1]))
     np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
     return str(path)
+
+
+def _write_late_non_finite(path: Path, kind: str) -> tuple[Path, str]:
+    """A 2*10^5-row panel whose last cell is nan, or a forecast file of as
+    many periods whose last q4 is inf; with the error each must raise."""
+    t = 2 * 10**5
+    rows = np.random.default_rng(3).standard_normal((t, 7))
+    if kind == "panel":
+        rows[-1, 4] = math.nan
+        _write_panel(path, rows[:, :5])
+        return path, f"cell 'nan' is not a finite number (row {t + 1}, column 'p5')"
+    rows[:, 0] = np.arange(1, t + 1)
+    rows[-1, 6] = math.inf
+    np.savetxt(path, rows, fmt=["%d"] + ["%.17g"] * 6, delimiter=",",
+               header="period,realized,es_forecast,q1,q2,q3,q4", comments="")
+    return path, f"cell 'inf' is not a finite number (row {t + 1}, column 'q4')"
+
+
+@pytest.mark.parametrize("kind", ["panel", "forecast"])
+def test_late_non_finite_cell_sends_only_its_record_through_the_row_loop(
+    tmp_path, monkeypatch, kind
+):
+    path, message = _write_late_non_finite(tmp_path / "in.csv", kind)
+    parse = parse_panel_csv if kind == "panel" else parse_forecasts_csv
+    calls, finite_floats = [], cli._finite_floats
+    monkeypatch.setattr(cli, "_finite_floats", lambda *args: calls.append(1) or finite_floats(*args))
+    with pytest.raises(ParseError) as resumed:
+        parse(path)
+    assert len(calls) == 1
+    # the row loop from the top, as when the bulk pass cannot judge a file
+    monkeypatch.setattr(cli, "_bulk_floats", lambda lines, columns: None)
+    with pytest.raises(ParseError) as full:
+        parse(path)
+    assert len(calls) == 1 + 2 * 10**5
+    errors = [(str(e.value), e.value.row, e.value.column) for e in (resumed, full)]
+    assert errors[0] == errors[1] and errors[0][0] == message
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

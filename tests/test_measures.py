@@ -182,6 +182,38 @@ def test_every_law_of_the_small_sweep_equals_its_references():
     assert laws == 3 * 495
 
 
+def mixture(f, g, share=0.5):
+    """The law ``share * F + (1 - share) * G``."""
+    weights = np.concatenate([share * f.weights, (1.0 - share) * g.weights])
+    return DiscreteDistribution(np.concatenate([f.atoms, g.atoms]), weights)
+
+
+class TestLevelSets:
+    """The paper's elicitability row. A functional that some scoring function
+    elicits has convex level sets: if T(F) = T(G) = t, then every mixture of F
+    and G has T = t too (Osband 1985; Gneiting 2011, JASA, "Making and
+    evaluating point forecasts", Sec. 3). VaR and the expectile keep a common
+    value under mixture; ES does not, so no scoring function elicits it. The
+    laws are dyadic, so every value below is exact in floats."""
+
+    @pytest.mark.parametrize("share, es", [(0.25, 2.125), (0.5, 2.25), (0.75, 2.25)])
+    def test_es_level_sets_are_not_convex(self, share, es):
+        f = DiscreteDistribution([0.0, 1.0, 3.0], [0.5, 0.25, 0.25])
+        g = DiscreteDistribution([2.0], [1.0])
+        assert expected_shortfall(f, 0.5) == expected_shortfall(g, 0.5) == 2.0
+        # the mixture's upper half holds all of F's mass at 3 but only part of G's at 2
+        assert expected_shortfall(mixture(f, g, share), 0.5) == es
+
+    @pytest.mark.parametrize("share", [0.25, 0.5, 0.75])
+    def test_var_and_expectile_level_sets_are_convex(self, share):
+        f = DiscreteDistribution([1.0, 3.0], [0.5, 0.5])
+        point = DiscreteDistribution.from_sample
+        assert value_at_risk(f, 0.5) == value_at_risk(point([1.0]), 0.5) == 1.0
+        assert value_at_risk(mixture(f, point([1.0]), share), 0.5) == 1.0
+        assert expectile(f, 0.5) == expectile(point([2.0]), 0.5) == 2.0
+        assert expectile(mixture(f, point([2.0]), share), 0.5) == 2.0
+
+
 class TestLevelValue:
     @pytest.mark.parametrize(
         "level, shown",
