@@ -294,9 +294,9 @@ def diversify(panel: LossPanel, kind: MeasureKind) -> DiversificationResult:
     as the marginal index does, though :func:`diversification_index` has a
     value."""
     law = panel.portfolio_law()
-    total = evaluate(law, kind)
-    rac_total = total - mean(law)  # risk_adjusted_capital(law, kind)
     allocation = _allocate(panel, kind, law) if kind.family in _EULER_FAMILIES else None
+    total = evaluate(law, kind) if allocation is None else allocation.total
+    rac_total = total - mean(law)  # risk_adjusted_capital(law, kind)
     standalone, rac_parts = [], []
     for i in range(panel.n_positions):
         column = panel.column_law(i)  # one position's law at a time

@@ -4,9 +4,13 @@ Everything here works on raw atom/weight arrays or samples with naive
 algorithms (linear scans, ternary search, area integrals, and for samples of
 up to 10^6 values a plain sort with exact integer counts), and computes the
 binomial and chi-square tails by exact integer and decimal sums, so that it
-shares no code path with the package implementations it checks.
+shares no code path with the package implementations it checks. The replays
+of a kernel as the package first wrote it (``expectile_by_bisection``,
+``pit_by_law``, ``comonotone_search_by_pairs``) pin a faster kernel to its
+bits instead; the last two build their laws with the package.
 """
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -377,3 +381,60 @@ def chi2_sf_decimal(x, df, digits=40):
             total += term
             term = term * lam / (j + Decimal("0.5"))
         return float(total)
+
+
+def comonotone_search_by_pairs(tau, factor_atoms=(0.0, 1.0, 2.0), map_values=(0.0, 1.0, 2.0),
+                               weight_denominator=8):
+    """The expectile comonotone search as the package first wrote it: for each
+    factor, with weights cut from 0..d at integer points in lexicographic
+    order, and each two maps in order, one ``comonotone_sum`` and three
+    expectiles. Returns (pair, sum_value, part_values, gap) for the first gap
+    past 1e-6, and raises as the package does when none is."""
+    from tailrisk import (
+        ComonotonePair,
+        CounterexampleNotFoundError,
+        DiscreteDistribution,
+        comonotone_sum,
+        expectile,
+    )
+
+    atoms = np.asarray(factor_atoms, dtype=float)
+    d = weight_denominator
+    maps = list(itertools.combinations_with_replacement(sorted(map_values), atoms.size))
+    for cuts in itertools.combinations(range(1, d), atoms.size - 1):
+        factor = DiscreteDistribution(atoms, np.diff((0, *cuts, d)) / d)
+        for f1 in maps:
+            for f2 in maps:
+                pair = ComonotonePair(factor, np.asarray(f1), np.asarray(f2))
+                law1, law2, law_sum = comonotone_sum(pair)
+                e1, e2, e_sum = (expectile(law, tau) for law in (law1, law2, law_sum))
+                gap = e_sum - (e1 + e2)
+                if abs(gap) > 1e-6:
+                    return pair, e_sum, (e1, e2), gap
+    raise CounterexampleNotFoundError(
+        "no expectile additivity violation in the search grid; widen the grid"
+    )
+
+
+def expectile_exact(atoms, weights, tau):
+    """The tau-expectile of a law as an exact ``Fraction`` of its float atoms,
+    weights and tau: the exact imbalance tau*E[(L-l)+] - (1-tau)*E[(l-L)+] at
+    each atom, in increasing order, finds the first atom where it is not
+    positive; the root is that atom, or lies on the linear piece just below
+    it, where the atoms up to the previous one sit below it."""
+    xs = [Fraction(float(a)) for a in atoms]
+    ws = [Fraction(float(w)) for w in weights]
+    t = Fraction(float(tau))
+
+    def imbalance(level):
+        above = sum(w * (x - level) for x, w in zip(xs, ws) if x > level)
+        below = sum(w * (level - x) for x, w in zip(xs, ws) if x < level)
+        return t * above - (1 - t) * below
+
+    k = next(k for k, x in enumerate(xs) if imbalance(x) <= 0)
+    if k == 0 or imbalance(xs[k]) == 0:
+        return xs[k]
+    low, high = list(zip(xs[:k], ws[:k])), list(zip(xs[k:], ws[k:]))
+    num = t * sum(w * x for x, w in high) + (1 - t) * sum(w * x for x, w in low)
+    den = t * sum(w for _, w in high) + (1 - t) * sum(w for _, w in low)
+    return num / den

@@ -22,6 +22,9 @@ from tailrisk import (
 )
 
 
+NOT_A_MATRIX = "rows must be a T x m matrix, got shape"
+
+
 def bernoulli_product_panel():
     """Two independent fair coins: rows are the four joint outcomes."""
     return LossPanel.from_rows([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -66,6 +69,27 @@ class TestLossPanel:
     def test_rejects_name_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             LossPanel.from_rows([[1.0, 2.0]], positions=("a",))
+
+    @pytest.mark.parametrize(
+        "rows, weights, error, message",
+        [
+            ([1.0, 2.0], [0.5, 0.5], ShapeMismatchError, f"{NOT_A_MATRIX} (2,)"),
+            (np.zeros((0, 1)), [], ShapeMismatchError, f"{NOT_A_MATRIX} (0, 1)"),
+            (np.zeros((2, 0)), [0.5, 0.5], ShapeMismatchError, f"{NOT_A_MATRIX} (2, 0)"),
+            ([[1.0], [math.nan]], [0.5, 0.5], ValueError, "losses must be finite"),
+            ([[-math.inf], [1.0]], [0.5, 0.5], ValueError, "losses must be finite"),
+            ([[1.0], [2.0]], [1.0], ShapeMismatchError, "1 weights for 2 rows"),
+            ([[1.0], [2.0]], [0.25, 0.25, 0.5], ShapeMismatchError, "3 weights for 2 rows"),
+        ],
+    )
+    def test_rejects_rows_and_weights_of_the_wrong_shape_or_value(
+        self, rows, weights, error, message
+    ):
+        rows = np.asarray(rows, dtype=float)
+        names = tuple(f"p{i}" for i in range(rows.shape[-1])) if rows.ndim == 2 else ("p",)
+        with pytest.raises(error) as caught:
+            LossPanel(names, rows, np.asarray(weights, dtype=float))
+        assert str(caught.value) == message
 
     def test_column_law_merges(self):
         p = LossPanel.from_rows([[1.0], [1.0], [2.0], [5.0]])
@@ -244,6 +268,27 @@ class TestDiversify:
             assert found.marginal_indices == tuple(
                 marginal_diversification_index(p, i, kind) for i in range(p.n_positions)
             )
+
+    @pytest.mark.parametrize("kind", [MeasureKind.es(0.9), MeasureKind.expectile(0.8)])
+    def test_measures_the_portfolio_law_once(self, monkeypatch, kind):
+        from tailrisk import allocation, measures
+
+        p = LossPanel.from_rows(np.random.default_rng(5).normal(size=(50, 3)))
+        portfolio = p.portfolio_law().atoms.tobytes()
+        on_portfolio = []
+
+        def spy(measure):
+            def call(law, level):
+                on_portfolio.append(law.atoms.tobytes() == portfolio)
+                return measure(law, level)
+            return call
+
+        for name in ("expected_shortfall", "expectile"):
+            measure = getattr(measures, name)
+            for module in (allocation, measures):
+                monkeypatch.setattr(module, name, spy(measure))
+        diversify(p, kind)
+        assert len(on_portfolio) == 4 and sum(on_portfolio) == 1
 
     def test_degenerate_results_are_none_with_their_reasons(self):
         p = LossPanel.from_rows([[0.0, 0.0], [0.0, 0.0]])

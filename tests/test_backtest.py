@@ -91,6 +91,34 @@ class TestViolationProcess:
         assert abs(rate - (1 - alpha)) <= 3 * se
 
 
+# the input checks of the series and backtests, with their errors' types and messages
+INPUT_CHECKS = [
+    (lambda: ViolationSeries(np.array([], dtype=np.int8), Level.quantile(0.9)),
+     InsufficientDataError, "a violation series needs at least one period"),
+    (lambda: ViolationSeries(np.array([0, 2, 1]), Level.quantile(0.9)),
+     ValueError, "indicators must be 0 or 1"),
+    (lambda: ViolationSeries(np.array([0.0, 0.5]), Level.quantile(0.9)),
+     ValueError, "indicators must be 0 or 1"),
+    (lambda: es_quantile_backtest([1.0], [[1.0, 2.0], [1.0, 2.0]], [1.0, 2.0], 0.9),
+     ShapeMismatchError, "1 es forecasts but 2 realizations"),
+    (lambda: PitSeries(np.array([]), randomized=False, rng_seed=None),
+     InsufficientDataError, "a PIT series needs at least one value"),
+    (lambda: pit_independence_test(
+        PitSeries(np.linspace(0.0, 1.0, 50), randomized=False, rng_seed=None), powers=()),
+     ValueError, "need at least one power"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", INPUT_CHECKS,
+    ids=["no-periods", "indicator-2", "indicator-half", "es-length", "empty-pit", "no-powers"],
+)
+def test_an_input_check_raises_its_error(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 class TestUnconditionalCoverage:
     def test_expected_count_has_high_p_value(self):
         ind = np.zeros(250, dtype=np.int8)
@@ -567,6 +595,88 @@ class TestExpectileComonotoneSearch:
         want = find_expectile_comonotone_counterexample(0.8, weight_denominator=3)
         assert found.pair.factor.weights.tobytes() == want.pair.factor.weights.tobytes()
         assert found.gap == want.gap
+
+    @pytest.mark.parametrize("denominator", [3, 5, 8, 12])
+    @pytest.mark.parametrize("tau", [0.51, 0.6, 0.8, 0.9, 0.99, 0.9999, 0.999999999])
+    def test_matches_the_pair_by_pair_search_bit_for_bit(self, tau, denominator):
+        try:
+            pair, sum_value, part_values, gap = oracles.comonotone_search_by_pairs(
+                tau, weight_denominator=denominator
+            )
+        except CounterexampleNotFoundError as exc:
+            with pytest.raises(CounterexampleNotFoundError, match=re.escape(str(exc))):
+                find_expectile_comonotone_counterexample(tau, weight_denominator=denominator)
+            return
+        found = find_expectile_comonotone_counterexample(tau, weight_denominator=denominator)
+        for got, want in [
+            (found.pair.factor.atoms, pair.factor.atoms),
+            (found.pair.factor.weights, pair.factor.weights),
+            (found.pair.f1, pair.f1),
+            (found.pair.f2, pair.f2),
+            ((found.sum_value, *found.part_values, found.gap), (sum_value, *part_values, gap)),
+        ]:
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("tau", [0.6, 0.8, 0.95])
+    def test_counterexample_is_its_exact_rationals_to_rounding(self, tau):
+        # The default grid's atoms are integers to 4 and its weights multiples of
+        # 1/8, so every running sum an expectile reads is exact, and 1 - tau is
+        # exact for tau >= 1/2. What rounds is a product by tau or 1 - tau and a
+        # sum, in numerator and denominator, and their quotient: each expectile
+        # is within (1 + u)^3 / (1 - u)^2 - 1 < 5.0001 u of its exact value, u =
+        # 2^-53. The gap adds one rounding for e1 + e2 and one for the
+        # difference, on values that are all positive: 7.01 u (s + e1 + e2).
+        u = 2.0**-53
+        found = find_expectile_comonotone_counterexample(tau)
+        laws = comonotone_sum(found.pair)
+        assert all(
+            np.array_equal(law.atoms, np.round(law.atoms)) and law.atoms.max() <= 4
+            and np.array_equal(law.weights * 8, np.round(law.weights * 8)) for law in laws
+        )
+        e1, e2, s = (oracles.expectile_exact(law.atoms, law.weights, tau) for law in laws)
+        for got, want in zip((*found.part_values, found.sum_value), (e1, e2, s)):
+            assert abs(got - want) <= 5.0001 * u * want
+        gap = s - (e1 + e2)
+        assert gap < 0 and abs(found.gap - gap) <= 7.01 * u * (s + e1 + e2)
+        if tau == 0.8:
+            assert float(gap) == -0.0039787798408488055
+
+    def test_measures_each_distinct_law_once_per_factor(self, monkeypatch):
+        # the default maps and their sums are the 35 nondecreasing maps of three
+        # atoms to 0..4, and d = 8 cuts C(7, 2) = 21 factors; measuring three laws
+        # per pair would take 21 * 100 * 3 = 6,300 expectiles
+        from tailrisk import backtest
+
+        calls = []
+
+        def spy(law, t):
+            calls.append(t)
+            return expectile(law, t)
+
+        monkeypatch.setattr(backtest, "expectile", spy)
+        with pytest.raises(CounterexampleNotFoundError):
+            find_expectile_comonotone_counterexample(0.999999999, weight_denominator=8)
+        assert len(calls) <= 21 * 35
+
+    # a bad map or factor fails as the pair-by-pair search fails, on its first pair
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"map_values": (0.0, math.nan, 2.0)},
+            {"map_values": (0.0, math.inf)},
+            {"map_values": (0.0, 1e308, 1.7e308)},
+            {"factor_atoms": (0.0, 1.0, 1.0)},
+            {"factor_atoms": (0.0, math.nan, 2.0)},
+            {"factor_atoms": ()},
+        ],
+        ids=["nan-map", "inf-map", "overflowing-sum", "repeated-atom", "nan-atom", "no-atoms"],
+    )
+    def test_a_bad_grid_raises_as_the_pair_by_pair_search_does(self, grid):
+        with pytest.raises(Exception) as want:
+            oracles.comonotone_search_by_pairs(0.8, **grid)
+        with pytest.raises(Exception) as got:
+            find_expectile_comonotone_counterexample(0.8, **grid)
+        assert type(got.value) is want.type
 
 
 class TestVarSuperadditivitySearch:

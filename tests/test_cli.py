@@ -102,6 +102,13 @@ class TestParsePanelCsv:
 
 
 class TestParseForecastsCsv:
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "nope.csv"
+        with pytest.raises(ParseError) as caught:
+            parse_forecasts_csv(path)
+        assert str(caught.value) == f"no such input file: {path}"
+        assert (caught.value.row, caught.value.column) == (None, None)
+
     def test_var_only(self, tmp_path):
         path = write(
             tmp_path / "f.csv",

@@ -329,6 +329,17 @@ class TestCompareForecasts:
         with pytest.raises(ShapeMismatchError):
             compare_forecasts(ScoringFunction.squared_error(), [1.0], [1.0, 2.0], [1.0])
 
+    def test_zero_score_of_b_wins(self):
+        ys = [1.0, 2.0, 3.0]
+        ma, mb, winner = compare_forecasts(
+            ScoringFunction.squared_error(), [2.0, 3.0, 4.0], ys, ys
+        )
+        assert ma == 1.0 and mb == 0.0 and winner is Winner.B
+
+    def test_empty_series_is_refused(self):
+        with pytest.raises(EmptySampleError, match="^cannot compare forecasts on an empty series$"):
+            compare_forecasts(ScoringFunction.squared_error(), [], [], [])
+
     @pytest.mark.parametrize("position, name", [(0, "forecasts_a"), (1, "forecasts_b"),
                                                 (2, "realizations")])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -354,6 +365,12 @@ def test_mean_score_refuses_non_finite_input(forecast, sample, name):
     # unchecked, each of these gave a mean score of nan or inf
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         mean_score(ScoringFunction.squared_error(), forecast, sample)
+
+
+@pytest.mark.parametrize("forecast", [1.0, []])
+def test_mean_score_refuses_an_empty_sample(forecast):
+    with pytest.raises(EmptySampleError, match="^cannot score against an empty sample$"):
+        mean_score(ScoringFunction.squared_error(), forecast, [])
 
 
 def test_mean_score_matches_manual_average():
