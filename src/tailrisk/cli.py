@@ -62,28 +62,22 @@ _SCORE_CHOICES = tuple(kind.value for kind in ScoreKind)
 
 
 @contextmanager
-def _open_csv(path: Path):
-    """Open ``path`` as UTF-8, with or without a byte-order mark, and yield the
-    handle with a csv reader over it. A malformed record, such as a cell longer
-    than the csv field size limit, becomes a :class:`ParseError` at the line
-    where the reader stopped; bytes that do not decode, one naming the file."""
+def _open_csv(path: Path, skip: int = 0):
+    """Open ``path`` as UTF-8, with or without a byte-order mark, pass over its
+    first ``skip`` lines as text, and yield the handle with the csv records
+    after them, each as ``(line, cells)``: the file line the record ends on,
+    and its cells. A malformed record, such as a cell longer than the csv field
+    size limit, becomes a :class:`ParseError` at the line where the reader
+    stopped; bytes that do not decode, one naming the file."""
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
-            yield handle, reader
+            next(itertools.islice(handle, skip, skip), None)
+            yield handle, ((skip + reader.line_num, cells) for cells in reader)
         except csv.Error as exc:
-            raise ParseError(f"malformed CSV: {exc}", row=reader.line_num) from None
+            raise ParseError(f"malformed CSV: {exc}", row=skip + reader.line_num) from None
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
-
-
-def _record_line(path: Path, index: int) -> int:
-    """The file line on which data record ``index`` (from 0, after the header)
-    ends; a quoted cell may span lines. Read again only to place an error."""
-    with _open_csv(path) as (_, reader):
-        for _ in itertools.islice(reader, index + 2):
-            pass
-        return reader.line_num
 
 
 def _finite_floats(cells: Sequence[str], locate: Callable[[int], tuple]) -> list[float]:
@@ -103,56 +97,65 @@ def _finite_floats(cells: Sequence[str], locate: Callable[[int], tuple]) -> list
     return values
 
 
-def _judged(block: list[str]) -> list[str]:
-    """``block``, unless a line of it is blank or whitespace only, or longer
-    than the csv field size limit: then raise :class:`ValueError`, which
-    ``np.loadtxt`` passes on. Each test is one C-level pass over the block."""
-    if any(map(str.isspace, block)) or max(map(len, block)) > csv.field_size_limit():
-        raise ValueError("a line the bulk pass cannot judge")
-    return block
-
-
 def _bulk_floats(lines: TextIO, columns: dict[str, type]) -> np.ndarray | None:
-    """The rest of ``lines`` as T records with one field per entry of
-    ``columns``, in one C-level pass. A field's type says how its cells are
-    read: ``float`` cells as numbers, ``np.int64`` cells as integers, and
-    ``object`` cells are kept as text.
+    """The rest of ``lines`` as T records, record k from line k, with one field
+    per entry of ``columns``, in one C-level pass. A field's type says how its
+    cells are read: ``float`` cells as numbers, ``np.int64`` cells as integers,
+    and ``object`` cells are kept as text.
 
     ``None`` when only the row loop can say what the lines hold: the pass
-    fails, meets a row of another width, or comes to a line it cannot judge.
+    fails, meets a row of another width, reads a record from more than one
+    line (a quoted cell spanning lines), or comes to a line it cannot judge.
     That is a blank line, which ``np.loadtxt`` would skip, or one long enough
-    to hold a cell over the csv field size limit. The lines are judged a
-    block of about 64 KiB at a time. The pass accepts a subset of what
-    ``float()`` and ``int()`` accept and gives the same values.
+    to hold a cell over the csv field size limit. The lines are judged and
+    counted a block of about 64 KiB at a time, each test one C-level pass. The
+    pass accepts a subset of what ``float()`` and ``int()`` accept and gives
+    the same values.
     """
+    counted = 0
+
+    def judged(blocks: Iterator[list[str]]) -> Iterator[list[str]]:
+        nonlocal counted
+        for block in blocks:
+            if any(map(str.isspace, block)) or max(map(len, block)) > csv.field_size_limit():
+                raise ValueError("a line the bulk pass cannot judge")  # np.loadtxt passes it on
+            counted += len(block)
+            yield block
+
     blocks = iter(lambda: lines.readlines(1 << 16), [])
     try:
         first = next(blocks, None)  # read here, so a byte that does not decode is the row loop's
         if first is None:  # no data lines, of which np.loadtxt would warn
             return None
-        return np.loadtxt(
-            itertools.chain.from_iterable(map(_judged, itertools.chain((first,), blocks))),
+        table = np.loadtxt(
+            itertools.chain.from_iterable(judged(itertools.chain((first,), blocks))),
             delimiter=",", comments=None, quotechar='"', ndmin=1, dtype=list(columns.items()),
         )
     except ValueError:
         return None
+    return table if len(table) == counted else None
 
 
-def _read_table(path: Path, columns: Callable, row_loop: Callable) -> tuple:
-    """The header and the data rows of a panel or forecast file.
+def _read_table(path: str | Path, columns: Callable, row_loop: Callable) -> tuple:
+    """The header and the data rows of a panel or forecast file that exists,
+    with the file line each row ends on.
 
     The header's names are stripped; a blank one would drop its column unread
     and a repeated one hide a column behind another. ``columns(names)`` checks
     what else the file's kind asks of them and gives each column's cell type.
     The rows are the records of :func:`_bulk_floats` where it can be trusted,
-    else the tuples ``row_loop(reader, names)`` returns, which define what they
-    hold, in a table of the same fields; its integer field holds Python ints,
-    so that a period past 64 bits stays whole. The loop accepts each record the
-    pass reads to finite values, so it starts at the first record that holds a
-    non-finite value, to report it.
+    one a line, else the rows and lines ``row_loop`` makes of the file's
+    ``(line, cells)`` records, which define what they hold, in a table of the
+    same fields; its integer field holds Python ints, so that a period past 64
+    bits stays whole. The loop accepts each record the pass reads to finite
+    values, so it starts at the line of the first that holds a non-finite value.
     """
-    with _open_csv(path) as (handle, reader):
-        names = [name.strip() for name in next(reader, [])]
+    path = Path(path)
+    if not path.is_file():
+        raise ParseError(f"no such input file: {path}")
+    with _open_csv(path) as (handle, records):
+        header, cells = next(records, (0, []))
+        names = [name.strip() for name in cells]
         seen = set()
         for name in names:
             if not name:
@@ -163,15 +166,15 @@ def _read_table(path: Path, columns: Callable, row_loop: Callable) -> tuple:
         types = columns(names)
         rows = _bulk_floats(handle, types)
     floats = [name for name, kind in types.items() if kind is float]
-    start = 0  # the first record the row loop reads
-    if rows is not None and not all(np.isfinite(rows[name]).all() for name in floats):
-        rows, start = None, int(np.argmin(np.all([np.isfinite(rows[n]) for n in floats], 0)))
-    if rows is None:
-        with _open_csv(path) as (_, reader):
-            next(itertools.islice(reader, start + 1, start + 1), None)  # header, earlier records
-            fields = [(name, object if kind is np.int64 else kind) for name, kind in types.items()]
-            rows = np.array(row_loop(reader, names), dtype=fields)
-    return names, rows
+    skip = header  # the lines the row loop passes over
+    if rows is not None:
+        if all(np.isfinite(rows[name]).all() for name in floats):
+            return names, rows, range(header + 1, header + 1 + len(rows))
+        skip += int(np.argmin(np.all([np.isfinite(rows[name]) for name in floats], 0)))
+    with _open_csv(path, skip) as (_, records):
+        fields = [(name, object if kind is np.int64 else kind) for name, kind in types.items()]
+        rows, lines = row_loop(records, names)
+        return names, np.array(rows, dtype=fields), lines
 
 
 def _panel_columns(names: list[str]) -> dict[str, type]:
@@ -180,18 +183,18 @@ def _panel_columns(names: list[str]) -> dict[str, type]:
     return dict.fromkeys(names, float)
 
 
-def _panel_rows(reader: Iterator[list[str]], names: list[str]) -> list[tuple[float, ...]]:
-    rows = []
-    # an error's row is the line the reader stopped on; a blank line is an
-    # error there, since in a one-column panel it is an empty cell
-    for row in reader:
+def _panel_rows(records: Iterator[tuple[int, list[str]]], names: list[str]) -> tuple[list, list]:
+    rows, lines = [], []
+    # a blank line is an error, since in a one-column panel it is an empty cell
+    for line, row in records:
         if len(row) != len(names):
             problem = f"expected {len(names)} cells, found {len(row)}" if row else "blank line"
-            raise ParseError(problem, row=reader.line_num)
-        rows.append(tuple(_finite_floats(row, lambda i: (reader.line_num, names[i], ""))))
+            raise ParseError(problem, row=line)
+        rows.append(tuple(_finite_floats(row, lambda i: (line, names[i], ""))))
+        lines.append(line)
     if not rows:
         raise ParseError("panel has no data rows", row=2)
-    return rows
+    return rows, lines
 
 
 def parse_panel_csv(path: str | Path) -> LossPanel:
@@ -201,10 +204,7 @@ def parse_panel_csv(path: str | Path) -> LossPanel:
 
     Losses use the positive-for-loss sign convention.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ParseError(f"no such input file: {path}")
-    names, table = _read_table(path, _panel_columns, _panel_rows)
+    names, table, lines = _read_table(path, _panel_columns, _panel_rows)
     # every field is a float, so this is a view
     panel = LossPanel.from_rows(table.view(float).reshape(len(table), len(names)), positions=names)
     with np.errstate(over="ignore"):
@@ -212,7 +212,7 @@ def parse_panel_csv(path: str | Path) -> LossPanel:
     if overflowed.any():
         raise ParseError(
             "portfolio loss overflows: the row sums past the largest float",
-            row=_record_line(path, int(np.argmax(overflowed))),
+            row=lines[int(np.argmax(overflowed))],
         )
     return panel
 
@@ -242,19 +242,21 @@ def _read_scenario_file(directory: Path, ref: str) -> np.ndarray:
     return values
 
 
-def _scenario_sets(path: Path, refs: Sequence[str]) -> list[np.ndarray | None]:
-    """The scenario set of each reference of forecast file ``path``, a blank
+def _scenario_sets(
+    directory: Path, refs: Sequence[str], lines: Sequence[int]
+) -> list[np.ndarray | None]:
+    """The scenario set of each reference, a file in ``directory``, a blank
     one having none. Each distinct file is read once; an error in one is
-    placed at the line of the first record naming it, found only then."""
+    placed at the line of the first record naming it, from ``lines``, the
+    line each record ends on."""
     refs = [ref.strip() for ref in refs]
     sets = {"": None}
-    for index, ref in enumerate(refs):
+    for ref, line in zip(refs, lines):
         if ref not in sets:
             try:
-                sets[ref] = _read_scenario_file(path.parent, ref)
+                sets[ref] = _read_scenario_file(directory, ref)
             except ParseError as exc:
-                row = _record_line(path, index)
-                raise ParseError(str(exc), row=row, column="scenario_file") from None
+                raise ParseError(str(exc), row=line, column="scenario_file") from None
     return [sets[ref] for ref in refs]
 
 
@@ -308,19 +310,18 @@ def _forecast_columns(names: list[str]) -> dict[str, type]:
     }
 
 
-def _forecast_rows(reader: Iterator[list[str]], names: list[str]) -> list[tuple]:
+def _forecast_rows(records: Iterator[tuple[int, list[str]]], names: list[str]) -> tuple[list, list]:
     """The row loop that defines what a forecast file may hold. It gives a
     tuple per record: the period as an int, each float cell as a float, a
-    blank one as NaN, and any other cell as stripped text. Errors come row by
-    row."""
+    blank one as NaN, and any other cell as stripped text; and the line each
+    record ends on. Errors come row by row."""
     floats = [i for i, kind in enumerate(_forecast_columns(names).values()) if kind is float]
     period, realized = names.index("period"), names.index("realized")
     quantiles = [i for i in floats if names[i][0] == "q"]
-    records = []
+    rows, lines = [], []
     # a blank line or a record longer than the header is an error, as in a
     # panel; a short record ends in blank cells
-    for row in reader:
-        line = reader.line_num
+    for line, row in records:
         if not row or len(row) > len(names):
             problem = f"expected {len(names)} cells, found {len(row)}" if row else "blank line"
             raise ParseError(problem, row=line)
@@ -339,10 +340,11 @@ def _forecast_rows(reader: Iterator[list[str]], names: list[str]) -> list[tuple]
         read = _finite_floats([cells[i] for i in filled], lambda k: (line, names[filled[k]], ""))
         for i in floats:
             cells[i] = read.pop(0) if cells[i] else math.nan
-        records.append(tuple(cells))
-    if not records:
+        rows.append(tuple(cells))
+        lines.append(line)
+    if not rows:
         raise ParseError("forecast file has no data rows", row=2)
-    return records
+    return rows, lines
 
 
 def parse_forecasts_csv(path: str | Path) -> ForecastColumns:
@@ -357,10 +359,7 @@ def parse_forecasts_csv(path: str | Path) -> ForecastColumns:
     for. Errors come from the header, then row by row, then from the
     scenario files in row order.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ParseError(f"no such input file: {path}")
-    names, table = _read_table(path, _forecast_columns, _forecast_rows)
+    names, table, lines = _read_table(path, _forecast_columns, _forecast_rows)
     floats = {name: np.ascontiguousarray(table[name]) for name in names
               if table.dtype[name] == float}
     periods = table["period"].tolist()
@@ -372,7 +371,7 @@ def parse_forecasts_csv(path: str | Path) -> ForecastColumns:
         floats.get("var_forecast"),
         floats.get("es_forecast"),
         np.reshape([floats[f"q{j}"] for j in range(1, k + 1)], (-1, len(periods))).T,
-        None if refs is None else _scenario_sets(path, refs),
+        None if refs is None else _scenario_sets(Path(path).parent, refs, lines),
     )
 
 

@@ -3,7 +3,8 @@ rows, with equal and with unequal row weights, and a forecast of 2000 periods
 of 250 scenarios. Measures and allocations must stay exact here, not only on
 test-sized inputs, the CLI must keep its exit contract, a PIT backtest
 must hold little more than its scenario values, and a file refused for one
-late cell must pass only that cell's record through the row loop."""
+late cell or row must pass only that record through the row loop and be read
+once."""
 
 import json
 import math
@@ -139,6 +140,25 @@ def _write_late_non_finite(path: Path, kind: str) -> tuple[Path, str]:
     return path, f"cell 'inf' is not a finite number (row {t + 1}, column 'q4')"
 
 
+class _CountingReader:
+    """A csv reader that counts the records it yields."""
+
+    def __init__(self, read, handle):
+        self.reader, self.records = read(handle), 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        record = next(self.reader)
+        self.records += 1
+        return record
+
+    @property
+    def line_num(self):
+        return self.reader.line_num
+
+
 @pytest.mark.parametrize("kind", ["panel", "forecast"])
 def test_late_non_finite_cell_sends_only_its_record_through_the_row_loop(
     tmp_path, monkeypatch, kind
@@ -147,9 +167,15 @@ def test_late_non_finite_cell_sends_only_its_record_through_the_row_loop(
     parse = parse_panel_csv if kind == "panel" else parse_forecasts_csv
     calls, finite_floats = [], cli._finite_floats
     monkeypatch.setattr(cli, "_finite_floats", lambda *args: calls.append(1) or finite_floats(*args))
+    readers, read = [], cli.csv.reader
+    monkeypatch.setattr(cli.csv, "reader", lambda handle: readers.append(
+        _CountingReader(read, handle)) or readers[-1])
     with pytest.raises(ParseError) as resumed:
         parse(path)
     assert len(calls) == 1
+    # the csv readers yield the header, then the record that holds the value:
+    # the lines between are passed over as text, not read as csv records
+    assert [reader.records for reader in readers] == [1, 1]
     # the row loop from the top, as when the bulk pass cannot judge a file
     monkeypatch.setattr(cli, "_bulk_floats", lambda lines, columns: None)
     with pytest.raises(ParseError) as full:
@@ -157,6 +183,43 @@ def test_late_non_finite_cell_sends_only_its_record_through_the_row_loop(
     assert len(calls) == 1 + 2 * 10**5
     errors = [(str(e.value), e.value.row, e.value.column) for e in (resumed, full)]
     assert errors[0] == errors[1] and errors[0][0] == message
+
+
+def _late_error_opens_the_file_once(monkeypatch, path, parse, message):
+    """``parse(path)`` raises ``message`` having opened the file once, and the
+    row loop from the top raises the same error."""
+    opened, open_csv = [], cli._open_csv
+    monkeypatch.setattr(cli, "_open_csv", lambda *args: opened.append(args) or open_csv(*args))
+    with pytest.raises(ParseError) as bulk:
+        parse(path)
+    assert len(opened) == 1
+    monkeypatch.setattr(cli, "_bulk_floats", lambda lines, columns: None)
+    with pytest.raises(ParseError) as full:
+        parse(path)
+    errors = [(str(e.value), e.value.row, e.value.column) for e in (bulk, full)]
+    assert errors[0] == errors[1] and errors[0][0] == message
+
+
+def test_late_overflowing_row_is_placed_without_reading_the_file_again(tmp_path, monkeypatch):
+    t = 2 * 10**5
+    rows = np.random.default_rng(4).standard_normal((t, 5))
+    rows[-1] = 1e308
+    path = Path(_write_panel(tmp_path / "in.csv", rows))
+    message = f"portfolio loss overflows: the row sums past the largest float (row {t + 1})"
+    _late_error_opens_the_file_once(monkeypatch, path, parse_panel_csv, message)
+
+
+def test_late_dangling_reference_is_placed_without_reading_the_file_again(
+    tmp_path, monkeypatch
+):
+    t = 2 * 10**5
+    (tmp_path / "s.txt").write_text("0.1\n0.2\n")
+    refs = ["s.txt"] * (t - 1) + ["missing.txt"]
+    lines = ["period,realized,scenario_file", *(f"{i + 1},0.5,{ref}" for i, ref in enumerate(refs))]
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join(lines) + "\n")
+    message = f"dangling scenario reference 'missing.txt' (row {t + 1}, column 'scenario_file')"
+    _late_error_opens_the_file_once(monkeypatch, path, parse_forecasts_csv, message)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -1,12 +1,14 @@
 """Property tests over random laws and panels, with equal and unequal weights:
 construction against the ``np.unique`` merge, VaR and ES against the scan and
 tail-form oracles, the expectile against the bisection reference, full ES
-allocation, and the paper's coherence, comonotone-additivity and robustness
-rows on laws where every step is exact; PIT values against the law-based PIT; and
-panel and forecast files that parse back to exactly the numbers written."""
+allocation, and the paper's coherence, comonotone-additivity, robustness and
+elicitability rows on laws where every step is exact; PIT values against the
+law-based PIT; and panel and forecast files that parse back to exactly the
+numbers written."""
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from tailrisk import cli
 
 import oracles
 from test_cli import bulk_tables, set_bits
+from test_measures import mixture
 
 # derandomized so that every run checks the same examples
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -243,6 +246,84 @@ def test_es_is_lipschitz_in_wasserstein_without_slack(law1, law2, alpha):
     exact = (law1.atoms.tolist(), law1.weights.tolist(), law2.atoms.tolist(), law2.weights.tolist())
     assert w == oracles.wasserstein_by_cdf_area(*exact)
     assert abs(es1 - es2) <= w / (1.0 - alpha)
+
+
+@pytest.mark.parametrize("k", range(4, 41))
+def test_var_is_not_continuous_in_wasserstein(k):
+    # the robustness row's failure (Cont, Deguest & Scandolo 2010): moving mass
+    # 2^-k from 0 to 1 moves F by 2^-k in W1, but VaR at 3/4 from 0 to 1
+    f = DiscreteDistribution(np.array([0.0, 1.0]), np.array([0.75, 0.25]))
+    g = DiscreteDistribution(np.array([0.0, 1.0]), np.array([0.75 - 2.0**-k, 0.25 + 2.0**-k]))
+    exact = (f.atoms.tolist(), f.weights.tolist(), g.atoms.tolist(), g.weights.tolist())
+    assert wasserstein1(f, g) == oracles.wasserstein_by_cdf_area(*exact) == 2.0**-k
+    assert (value_at_risk(f, 0.75), value_at_risk(g, 0.75)) == (0.0, 1.0)
+
+
+@st.composite
+def dyadic_laws(draw):
+    """A law on up to six integer atoms with dyadic weights."""
+    t = draw(st.integers(1, 6))
+    atoms = draw(st.lists(small_ints, min_size=t, max_size=t))
+    return DiscreteDistribution(np.array(atoms, dtype=float), draw(dyadic_weights(t)))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(dyadic_laws(), dyadic_laws(), st.sampled_from([0.125, 0.25, 0.5, 0.75, 0.875]))
+def test_expectile_is_lipschitz_in_wasserstein_exactly(law1, law2, tau):
+    # the robustness row (Bellini, Klar, Mueller & Rosazza Gianin 2014), in
+    # exact rationals: |e(F) - e(G)| <= max(tau/(1-tau), (1-tau)/tau) W1(F, G)
+    e1, e2 = (oracles.expectile_exact(law.atoms, law.weights, tau) for law in (law1, law2))
+    exact = (law1.atoms.tolist(), law1.weights.tolist(), law2.atoms.tolist(), law2.weights.tolist())
+    t = Fraction(tau)
+    assert abs(e1 - e2) <= max(t / (1 - t), (1 - t) / t) * oracles.wasserstein_by_cdf_area(*exact)
+
+
+# The elicitability row: an elicitable functional has convex level sets
+# (Osband 1985; Gneiting 2011, Sec. 3), so a mixture of two laws with the same
+# value keeps it. The laws and mixing shares are dyadic, so every weight is exact.
+shares = st.sampled_from([0.25, 0.5, 0.75])
+
+
+@settings(PROPERTY, max_examples=300)
+@given(dyadic_laws(), dyadic_laws(), st.sampled_from([0.25, 0.5, 0.75, 0.875]), shares)
+def test_var_level_sets_are_convex(law1, law2, alpha, share):
+    # shifting G by a whole number moves its VaR onto F's
+    v = value_at_risk(law1, alpha)
+    law2 = law2.shift(v - value_at_risk(law2, alpha))
+    mixed = mixture(law1, law2, share)
+    for law in (law1, law2, mixed):
+        assert value_at_risk(law, alpha) == v
+        assert oracles.quantile_by_scan(law.atoms.tolist(), law.weights.tolist(), alpha) == v
+
+
+@st.composite
+def expectile_zero_laws(draw, tau):
+    """A dyadic law whose tau-expectile is exactly 0: positive atoms k/4 with
+    sum(w x) = B, and one atom -(tau/(1-tau)) B/w on a weight w = 2^-m, so
+    that tau E[L+] = (1-tau) E[L-]."""
+    w = 2.0 ** -draw(st.integers(1, 3))
+    t = draw(st.integers(1, 4))
+    atoms = draw(st.lists(st.integers(1, 80).map(lambda k: k / 4), min_size=t, max_size=t))
+    weights = (1.0 - w) * draw(dyadic_weights(t))
+    b = sum(Fraction(a) * Fraction(v) for a, v in zip(atoms, weights.tolist()))
+    loss = -Fraction(tau) / (1 - Fraction(tau)) * b / Fraction(w)
+    assert Fraction(float(loss)) == loss
+    return DiscreteDistribution(np.array([*atoms, float(loss)]), np.array([*weights, w]))
+
+
+@st.composite
+def expectile_zero_cases(draw):
+    tau = draw(st.sampled_from([0.5, 0.75, 0.875]))
+    return draw(expectile_zero_laws(tau)), draw(expectile_zero_laws(tau)), tau
+
+
+@settings(PROPERTY, max_examples=300)
+@given(expectile_zero_cases(), shares)
+def test_expectile_level_sets_are_convex(case, share):
+    law1, law2, tau = case
+    for law in (law1, law2, mixture(law1, law2, share)):
+        assert oracles.expectile_exact(law.atoms, law.weights, tau) == 0
+        assert expectile(law, tau) == 0.0
 
 
 # finite values whose row sums cannot overflow, written at full precision
