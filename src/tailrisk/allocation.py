@@ -56,6 +56,7 @@ class LossPanel:
     positions: tuple[str, ...]
     rows: np.ndarray
     weights: np.ndarray
+    _laws = ()  # the row sum's and each column's law, where enumerate_joint_panels shares them
 
     def __post_init__(self) -> None:
         rows = np.array(self.rows, dtype=float)
@@ -111,9 +112,13 @@ class LossPanel:
         return np.add.reduce(self.rows, axis=1)
 
     def portfolio_law(self) -> DiscreteDistribution:
+        if self._laws:
+            return self._laws[0]
         return DiscreteDistribution(self.portfolio_losses(), self.weights)
 
     def column_law(self, i: int) -> DiscreteDistribution:
+        if self._laws:
+            return self._laws[1:][i]
         return DiscreteDistribution(self.rows[:, i], self.weights)
 
     def scale_position(self, i: int, factor: float) -> "LossPanel":

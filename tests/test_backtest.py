@@ -4,6 +4,7 @@ and the coherence counterexample searches."""
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,14 +18,19 @@ from tailrisk import (
     EmptyScenarioSetError,
     InsufficientDataError,
     Level,
+    MeasureKind,
     PitSeries,
     ShapeMismatchError,
     ViolationSeries,
     comonotone_sum,
+    diversify,
     enumerate_joint_panels,
     es_quantile_approximation,
+    es_contributions,
     es_quantile_backtest,
+    evaluate,
     expectile,
+    expectile_contributions,
     expected_shortfall,
     find_expectile_comonotone_counterexample,
     find_var_superadditivity_example,
@@ -781,6 +787,109 @@ def test_an_integer_argument_takes_a_numpy_integer(name, span, call):
 def test_enumerate_joint_panels_rejects_an_empty_grid(atoms_a, atoms_b):
     want = f"the atom grid is empty: {len(atoms_a)} x {len(atoms_b)} atoms"
     with pytest.raises(ValueError, match=re.escape(want)):
+        enumerate_joint_panels(atoms_a, atoms_b, 2)
+
+
+def _laws_by_role(panel):
+    """(values, law) of a panel's first column, second column and row sum."""
+    return (
+        (panel.rows[:, 0], panel.column_law(0)),
+        (panel.rows[:, 1], panel.column_law(1)),
+        (panel.portfolio_losses(), panel.portfolio_law()),
+    )
+
+
+@pytest.mark.parametrize("d, distinct", [(4, (15, 15, 70)), (5, (21, 21, 126)), (8, (45, 45, 495))])
+def test_enumerated_laws_are_their_integer_counts_over_d(d, distinct):
+    """A panel's law of a column or of the row sum is fixed by the integer
+    count m of d on each of its distinct values: its atoms are the values with
+    m > 0 and its weights are the Fractions m/d rounded once. Panels with the
+    same counts share one law object, so the 3x3 grid builds C(d + 2, 2) laws
+    per column and C(d + 4, 4) for the sum."""
+    grid = (0.0, 1.0, 2.0)
+    laws = [{}, {}, {}]  # per role: the sorted (value, count) pairs -> the law
+    for panel in enumerate_joint_panels(grid, grid, d):
+        counts = np.rint(panel.weights * d).astype(int).tolist()
+        for role, (values, law) in enumerate(_laws_by_role(panel)):
+            m = {}
+            for value, count in zip(values.tolist(), counts):
+                m[value] = m.get(value, 0) + count
+            assert laws[role].setdefault(tuple(sorted(m.items())), law) is law
+    assert tuple(len({id(law) for law in role.values()}) for role in laws) == distinct
+    for role in laws:
+        for m, law in role.items():
+            assert law.atoms.tolist() == [value for value, _ in m]
+            assert law.weights.tolist() == [float(Fraction(count, d)) for _, count in m]
+            assert law.cum_weights[-1] == 1.0
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_enumerated_laws_at_a_power_of_two_have_the_bits_of_their_rows(d):
+    """m/d is exact at a power-of-two d, so each shared law has the bits of
+    the law merged from the panel's own rows and weights. At d = 4
+    ``test_measures.py::test_every_law_of_the_small_sweep_equals_its_references``
+    checks the same, and each law's measures too."""
+    grid = (0.0, 1.0, 2.0)
+    for panel in enumerate_joint_panels(grid, grid, d):
+        for values, law in _laws_by_role(panel):
+            want = oracles.merge_by_unique(values, panel.weights)
+            assert [a.tobytes() for a in (law.atoms, law.weights, law.cum_weights)] == [
+                a.tobytes() for a in want
+            ]
+
+
+def test_an_enumerated_zero_atom_has_the_sign_of_the_first_grid_cell_at_zero():
+    """A value that holds both 0.0 and -0.0 is the zero of the first cell of
+    the grid, in row-major order, that holds it, whichever cells the panel
+    weights. The grid's cells run (-0, 0), (-0, -0), (0, 0), (0, -0), (1, 0),
+    (1, -0): the first column's zero is -0.0, the second's 0.0, and the sum's
+    -0.0 + 0.0 = 0.0. Apart from that sign each law equals the merge of its
+    panel's rows."""
+    zero_is_negative = (True, False, False)
+    moved = 0
+    for panel in enumerate_joint_panels((-0.0, 0.0, 1.0), (0.0, -0.0), 4):
+        for (values, law), negative in zip(_laws_by_role(panel), zero_is_negative):
+            assert np.signbit(law.atoms[law.atoms == 0.0]).tolist() in ([], [negative])
+            want = oracles.merge_by_unique(values, panel.weights)
+            assert law.atoms.tolist() == want[0].tolist()  # 0.0 == -0.0
+            assert [a.tobytes() for a in (law.weights, law.cum_weights)] == [a.tobytes() for a in want[1:]]
+            moved += law.atoms.tobytes() != want[0].tobytes()
+    assert moved > 0
+    # the whole weight on the cell (0, -0): its rows alone would merge to 0.0
+    (panel,) = [p for p in enumerate_joint_panels((-0.0, 0.0, 1.0), (0.0, -0.0), 1)
+                if p.rows.tobytes() == np.array([[0.0, -0.0]]).tobytes()]
+    assert panel.column_law(0).atoms.tobytes() == np.array([-0.0]).tobytes()
+
+
+@pytest.mark.parametrize("level", [0.6, 0.8])
+def test_every_panel_in_fifths_is_fully_allocated(level):
+    """At d = 5 a law's weights m/d and its rows' weights c/d round apart, yet
+    the allocations, which take the total from the law and the contributions
+    from the rows, still meet the full-allocation bound on every panel, and
+    diversify's marginal indices give the same total back."""
+    grid = (0.0, 1.0, 2.0)
+    for panel in enumerate_joint_panels(grid, grid, 5):
+        for kind, allocate in (
+            (MeasureKind.es(level), es_contributions),
+            (MeasureKind.expectile(level), expectile_contributions),
+        ):
+            allocation = allocate(panel, level)
+            bound = 1e-10 * max(1.0, abs(allocation.total))
+            assert abs(allocation.total - math.fsum(allocation.contributions)) <= bound
+            found = diversify(panel, kind)
+            if found.index is None:  # every position is zero
+                continue
+            standalone = [evaluate(panel.column_law(i), kind) for i in range(2)]
+            # a marginal index is None only for a position that is zero, whose contribution is 0
+            parts = [0.0 if m is None else m * s for m, s in zip(found.marginal_indices, standalone)]
+            assert abs(found.index * math.fsum(standalone) - math.fsum(parts)) <= bound
+
+
+@pytest.mark.parametrize("atoms_a, atoms_b", [((1e308, 0.0), (1e308,)), ((math.nan,), (0.0,)),
+                                               ((math.inf,), (-math.inf, 0.0))])
+def test_enumerate_joint_panels_rejects_a_grid_whose_row_sums_are_not_finite(atoms_a, atoms_b):
+    # raised by the call, as each row sum's law is built once for all panels
+    with pytest.raises(ValueError, match="every row sum of the atom grid must be finite"):
         enumerate_joint_panels(atoms_a, atoms_b, 2)
 
 

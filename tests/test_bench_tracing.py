@@ -23,11 +23,13 @@ def test_tracer_installs_and_counts_forecast_rows(monkeypatch):
     assert tracer.summary()["cli.parse_forecasts_csv.rows"] == 120
 
 
-# sweep(4): 495 panels, three laws and one VaR, ES and expectile each
+# sweep(4): 495 panels, three laws and one VaR, ES and expectile each. The
+# 1485 law reads return the 15 + 15 + 70 distinct laws, which the enumerator
+# builds once each, inside its own spans, from their 235 positive counts
 SWEEP_4_COUNTS = {
-    "distribution.construct.calls": 1485,
-    "distribution.atoms_in": 4455,
-    "distribution.atoms_kept": 3483,
+    "distribution.construct.calls": 1585,
+    "distribution.atoms_in": 4690,
+    "distribution.atoms_kept": 3718,
     "backtest.enumerate_joint_panels.panels": 495,
     "measures.value_at_risk.calls": 1485,
     "measures.expected_shortfall.calls": 1485,
