@@ -112,14 +112,10 @@ class LossPanel:
         return np.add.reduce(self.rows, axis=1)
 
     def portfolio_law(self) -> DiscreteDistribution:
-        if self._laws:
-            return self._laws[0]
-        return DiscreteDistribution(self.portfolio_losses(), self.weights)
+        return self._laws[0] if self._laws else DiscreteDistribution(self.portfolio_losses(), self.weights)
 
     def column_law(self, i: int) -> DiscreteDistribution:
-        if self._laws:
-            return self._laws[1:][i]
-        return DiscreteDistribution(self.rows[:, i], self.weights)
+        return self._laws[1:][i] if self._laws else DiscreteDistribution(self.rows[:, i], self.weights)
 
     def scale_position(self, i: int, factor: float) -> "LossPanel":
         """Panel with column ``i`` multiplied by ``factor``."""

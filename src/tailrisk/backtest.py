@@ -615,40 +615,32 @@ def enumerate_joint_panels(
 
     A grid of k points has C(d + k - 1, k - 1) laws for denominator d: the
     3x3 grid has C(d + 8, 8), 12,870 for d = 8. The call raises ValueError
-    unless d is an integer of at least 1, both atom lists are non-empty and
-    every row sum of the grid is finite.
+    unless d is an integer of at least 1 and both atom lists are non-empty.
 
-    Each law a panel gives is built once per call and shared among panels: it
-    puts weight m/d, rounded once, on each distinct value of its column or of
-    the row sum that holds an integer count m > 0 of the d, so at a power-of-two
-    d it has the bits of the law of the panel's own rows. A zero atom has the
-    sign of the first grid cell, in row-major order, that holds a zero there.
+    Panels share their laws: each is built once, from the integer count m of
+    d on each distinct value of its column or of the row sum, with weights m/d
+    rounded once; the iterator keeps them unless every grid cell differs there.
     """
     d = _check_integer(weight_denominator, "weight_denominator", 1)
     grid = np.array(list(itertools.product(atoms_a, atoms_b)), dtype=float)
     if grid.size == 0:
         raise ValueError(f"the atom grid is empty: {len(atoms_a)} x {len(atoms_b)} atoms")
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = np.add.reduce(grid, axis=1)
-    if not np.isfinite(sums).all():
-        raise ValueError("every row sum of the atom grid must be finite")
-    # the row sum's and each column's distinct values, each cell's one-hot row
-    # over them, and the laws built so far, keyed by their counts
     roles = []
-    for values in (sums, grid[:, 0], grid[:, 1]):
-        _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-        roles.append((values[first], np.eye(first.size, dtype=np.int64)[inverse], {}))
+    for values in (grid.sum(axis=1), *grid.T):
+        _, first, cell = np.unique(values, return_index=True, return_inverse=True)
+        roles.append((values[first], np.eye(first.size, dtype=np.int64)[cell], {}))
 
-    def panels() -> Iterator[LossPanel]:
-        for counts in _compositions(d, len(grid)):
-            panel = LossPanel(("pos_1", "pos_2"), grid.compress(counts, axis=0), counts.compress(counts) / d)
-            laws = []
-            for values, onehot, built in roles:
-                m = counts @ onehot
-                if m.tobytes() not in built:
-                    built[m.tobytes()] = DiscreteDistribution(values[m > 0], m[m > 0] / d)
-                laws.append(built[m.tobytes()])
-            object.__setattr__(panel, "_laws", tuple(laws))
-            yield panel
+    def panel(counts: np.ndarray) -> LossPanel:
+        shared = LossPanel(("pos_1", "pos_2"), grid.compress(counts, axis=0), counts.compress(counts) / d)
+        laws = []
+        for values, onehot, built in roles:
+            m = counts @ onehot
+            if m.tobytes() not in built:
+                if values.size == len(grid):  # no law repeats, so keep none
+                    built.clear()
+                built[m.tobytes()] = DiscreteDistribution(values[m > 0], m[m > 0] / d)
+            laws.append(built[m.tobytes()])
+        object.__setattr__(shared, "_laws", tuple(laws))
+        return shared
 
-    return panels()
+    return map(panel, _compositions(d, len(grid)))

@@ -117,7 +117,7 @@ class DiscreteDistribution:
     Atoms are stored strictly increasing; exact duplicates are merged at
     construction with their weights summed (callers who need fuzzy merging
     pre-round their values). Weights must be positive and sum to one within
-    1e-12.
+    1e-12. ``cum_weights`` holds the cumulative weights, the last exactly 1.
     """
 
     atoms: np.ndarray
@@ -131,38 +131,22 @@ class DiscreteDistribution:
         if atoms.shape != weights.shape:
             raise ShapeMismatchError(f"{atoms.size} atoms but {weights.size} weights")
         n = atoms.size
-        # NaN if any weight is: argmin and argmax stop at the first NaN
         lo, hi = weights.item(weights.argmin()), weights.item(weights.argmax())
-        # np.unique's sorts (np.sort to count, the default argsort to invert),
-        # so the merge equals np.unique's bit for bit, down to which of 0.0
-        # and -0.0 stands for their run
-        if lo == hi:
-            ordered = np.sort(atoms)
-        else:
-            perm = atoms.argsort()
-            ordered = atoms[perm]
-        # NaN sorts last, so the two ends decide the atoms' finiteness
-        if not all(map(math.isfinite, (ordered.item(0), ordered.item(-1), lo, hi))):
+        # argmin and argmax stop at the first NaN, and an infinity is one of them
+        if not all(map(math.isfinite, (atoms.item(atoms.argmin()), atoms.item(atoms.argmax()), lo, hi))):
             raise ValueError("atoms and weights must be finite")
         if not lo > 0.0:
             raise ValueError("all weights must be strictly positive")
-        # where each run of equal atoms starts, then n
-        edges = np.empty(n + 1, dtype=bool)
-        edges[0] = edges[n] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=edges[1:n])
-        bounds = edges.nonzero()[0]
-        merged_atoms = ordered[bounds[:-1]]
         if lo == hi:
             # equal weights: cumulative weights from integer atom counts, so
             # order-statistic boundaries like 95/100 are hit exactly at any size
-            merged_weights = (bounds[1:] - bounds[:-1]) / n
-            cum = bounds[1:] / n
+            merged_atoms, counts = np.unique(atoms, return_counts=True)
+            merged_weights = counts / n
+            cum = np.add.accumulate(counts) / n
             total = lo * n  # the exact input sum, rounded once
         else:
-            # each atom's merged index, from 1, so that bin 0 stays empty
-            inverse = np.empty(n, dtype=np.intp)
-            inverse[perm] = np.add.accumulate(edges[:n], dtype=np.intp)
-            merged_weights = np.bincount(inverse, weights=weights)[1:]
+            merged_atoms, inverse = np.unique(atoms, return_inverse=True)
+            merged_weights = np.bincount(inverse, weights=weights)
             # general weights: split w * 2^53 into whole parts, whose running
             # sum is exact in float while it stays within 2^53, and remainders
             # of at most 1/2, whose running sum drifts far below one unit
@@ -179,7 +163,7 @@ class DiscreteDistribution:
         cum.setflags(write=False)
         object.__setattr__(self, "atoms", merged_atoms)
         object.__setattr__(self, "weights", merged_weights)
-        object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "cum_weights", cum)
 
     @classmethod
     def from_sample(cls, values: Sequence[float]) -> "DiscreteDistribution":
@@ -188,11 +172,6 @@ class DiscreteDistribution:
         if arr.size == 0:
             raise EmptySampleError("cannot build a distribution from an empty sample")
         return cls(arr, np.full(arr.size, 1.0 / arr.size))
-
-    @property
-    def cum_weights(self) -> np.ndarray:
-        """Cumulative weights aligned with ``atoms``; the last entry is exactly 1."""
-        return self._cum  # type: ignore[attr-defined]
 
     def quantile(self, u: float) -> float:
         """Left-continuous generalized inverse: the smallest atom whose
@@ -213,7 +192,7 @@ class DiscreteDistribution:
         """Law of L + offset."""
         shifted = DiscreteDistribution(self.atoms + float(offset), self.weights)
         if shifted.atoms.size == self.atoms.size:
-            object.__setattr__(shifted, "_cum", self.cum_weights)
+            object.__setattr__(shifted, "cum_weights", self.cum_weights)
         return shifted
 
     def scale(self, factor: float) -> "DiscreteDistribution":
@@ -224,7 +203,7 @@ class DiscreteDistribution:
             return DiscreteDistribution(np.array([0.0]), np.array([1.0]))
         scaled = DiscreteDistribution(self.atoms * factor, self.weights)
         if factor > 0.0 and scaled.atoms.size == self.atoms.size:
-            object.__setattr__(scaled, "_cum", self.cum_weights)
+            object.__setattr__(scaled, "cum_weights", self.cum_weights)
         return scaled
 
 

@@ -1,9 +1,11 @@
 """Tests for violation backtests, the multi-quantile ES backtest, PIT tests,
 and the coherence counterexample searches."""
 
+import gc
 import itertools
 import math
 import re
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -823,21 +825,6 @@ def test_enumerated_laws_are_their_integer_counts_over_d(d, distinct):
             assert law.cum_weights[-1] == 1.0
 
 
-@pytest.mark.parametrize("d", [2, 8])
-def test_enumerated_laws_at_a_power_of_two_have_the_bits_of_their_rows(d):
-    """m/d is exact at a power-of-two d, so each shared law has the bits of
-    the law merged from the panel's own rows and weights. At d = 4
-    ``test_measures.py::test_every_law_of_the_small_sweep_equals_its_references``
-    checks the same, and each law's measures too."""
-    grid = (0.0, 1.0, 2.0)
-    for panel in enumerate_joint_panels(grid, grid, d):
-        for values, law in _laws_by_role(panel):
-            want = oracles.merge_by_unique(values, panel.weights)
-            assert [a.tobytes() for a in (law.atoms, law.weights, law.cum_weights)] == [
-                a.tobytes() for a in want
-            ]
-
-
 def test_an_enumerated_zero_atom_has_the_sign_of_the_first_grid_cell_at_zero():
     """A value that holds both 0.0 and -0.0 is the zero of the first cell of
     the grid, in row-major order, that holds it, whichever cells the panel
@@ -885,12 +872,26 @@ def test_every_panel_in_fifths_is_fully_allocated(level):
             assert abs(found.index * math.fsum(standalone) - math.fsum(parts)) <= bound
 
 
-@pytest.mark.parametrize("atoms_a, atoms_b", [((1e308, 0.0), (1e308,)), ((math.nan,), (0.0,)),
-                                               ((math.inf,), (-math.inf, 0.0))])
-def test_enumerate_joint_panels_rejects_a_grid_whose_row_sums_are_not_finite(atoms_a, atoms_b):
-    # raised by the call, as each row sum's law is built once for all panels
-    with pytest.raises(ValueError, match="every row sum of the atom grid must be finite"):
-        enumerate_joint_panels(atoms_a, atoms_b, 2)
+def test_the_enumerator_keeps_no_law_of_a_role_whose_grid_cells_all_differ():
+    """The nine row sums of (0, 1, 2) x (0, 10, 100) all differ, so no two
+    panels share a sum law and the iterator keeps none; each column repeats
+    its values, so its laws stay shared while the iterator lives."""
+    panels = enumerate_joint_panels((0.0, 1.0, 2.0), (0.0, 10.0, 100.0), 3)
+    first = next(panels)
+    sum_law, column_law = weakref.ref(first.portfolio_law()), weakref.ref(first.column_law(0))
+    del first
+    assert sum(1 for _ in panels) == math.comb(3 + 8, 8) - 1
+    gc.collect()
+    assert sum_law() is None and column_law() is not None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_row_sum_that_overflows_is_refused_at_the_first_panel_that_weights_it():
+    # in order, the panels weight the cells (0, 1e308), then (1e308, 1e308)
+    panels = enumerate_joint_panels((1e308, 0.0), (1e308,), 1)
+    assert next(panels).rows.tolist() == [[0.0, 1e308]]
+    with pytest.raises(ValueError, match="atoms and weights must be finite"):
+        next(panels)
 
 
 @pytest.mark.parametrize("total, parts", [(0, 1), (4, 1), (0, 3), (5, 3), (2, 9), (3, 4)])

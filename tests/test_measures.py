@@ -155,30 +155,48 @@ class TestExpectile:
             expectile(uniform_1_to_100(), Level.quantile(0.8))
 
 
-def test_every_law_of_the_small_sweep_equals_its_references():
-    """The coherence sweep's laws, in quarters on the 3x3 grid: each law
-    equals the np.unique merge, and its VaR, ES and expectile equal the scan,
-    clipped-segments and bisection references bit for bit."""
+def _sweep_laws(d):
+    """(panel values, law) of each column and of the row sum of every law of
+    the coherence sweep's 3x3 grid in multiples of 1/d."""
     grid = (0.0, 1.0, 2.0)
+    for panel in enumerate_joint_panels(grid, grid, d):
+        yield panel.rows[:, 0], panel.weights, panel.column_law(0)
+        yield panel.rows[:, 1], panel.weights, panel.column_law(1)
+        yield panel.portfolio_losses(), panel.weights, panel.portfolio_law()
+
+
+@pytest.mark.parametrize("d, laws", [(2, 3 * 45), (4, 3 * 495), (8, 3 * 12870)])
+def test_every_law_of_the_sweep_is_the_merge_of_its_rows(d, laws):
+    """The enumerator builds each law from integer counts over d, which is
+    exact at a power-of-two d, so every law it shares has the bits of the
+    np.unique merge of the panel's own rows and weights."""
+    seen = 0
+    for values, weights, law in _sweep_laws(d):
+        seen += 1
+        want = oracles.merge_by_unique(values, weights)
+        assert [a.tobytes() for a in (law.atoms, law.weights, law.cum_weights)] == [
+            a.tobytes() for a in want
+        ]
+    assert seen == laws
+
+
+def test_every_law_of_the_small_sweep_equals_its_references():
+    """The coherence sweep's laws, in quarters on the 3x3 grid: the VaR, ES
+    and expectile of each equal the scan, clipped-segments and bisection
+    references bit for bit. Each law is the np.unique merge of its rows
+    (the test above)."""
     laws = 0
-    for panel in enumerate_joint_panels(grid, grid, 4):
-        for values, law in (
-            (panel.rows[:, 0], panel.column_law(0)),
-            (panel.rows[:, 1], panel.column_law(1)),
-            (panel.portfolio_losses(), panel.portfolio_law()),
-        ):
-            laws += 1
-            atoms, weights, cum = law.atoms, law.weights, law.cum_weights
-            want = oracles.merge_by_unique(values, panel.weights)
-            assert [a.tobytes() for a in (atoms, weights, cum)] == [a.tobytes() for a in want]
-            for alpha in (0.25, 0.5, 0.8, 0.95):
-                want = oracles.quantile_by_scan(atoms.tolist(), weights.tolist(), alpha)
-                assert value_at_risk(law, alpha) == want
-                got = expected_shortfall(law, alpha)
-                assert got.hex() == oracles.es_by_clipped_segments(atoms, cum, alpha).hex()
-            for tau in (0.2, 0.5, 0.8):
-                got = expectile(law, tau)
-                assert got.hex() == oracles.expectile_by_bisection(atoms, weights, cum, tau).hex()
+    for _, _, law in _sweep_laws(4):
+        laws += 1
+        atoms, weights, cum = law.atoms, law.weights, law.cum_weights
+        for alpha in (0.25, 0.5, 0.8, 0.95):
+            want = oracles.quantile_by_scan(atoms.tolist(), weights.tolist(), alpha)
+            assert value_at_risk(law, alpha) == want
+            got = expected_shortfall(law, alpha)
+            assert got.hex() == oracles.es_by_clipped_segments(atoms, cum, alpha).hex()
+        for tau in (0.2, 0.5, 0.8):
+            got = expectile(law, tau)
+            assert got.hex() == oracles.expectile_by_bisection(atoms, weights, cum, tau).hex()
     assert laws == 3 * 495
 
 
