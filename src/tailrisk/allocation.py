@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .measures import (
     expectile,
     expected_shortfall,
     mean,
-    risk_adjusted_capital,
 )
 
 __all__ = [
@@ -162,23 +161,24 @@ def expectile_contributions(panel: LossPanel, tau: "Level | float") -> Allocatio
     )
 
 
-def _check_expectile_tau(t: float) -> None:
-    """Expectile contributions need tau >= 1/2. The row weighting gives the
-    gradient below 1/2 as well, but the package allocates coherent measures
-    only (so no VaR either), and the expectile is coherent from 1/2 on."""
-    if t < 0.5:
-        raise ValueError(f"expectile contributions require tau >= 1/2, got {t}")
-
-
-# the measures with Euler contributions
-_EULER_FAMILIES = (MeasureFamily.EXPECTED_SHORTFALL, MeasureFamily.EXPECTILE)
+def _no_contributions(kind: MeasureKind) -> str | None:
+    """Why ``kind`` has no Euler contributions, or ``None`` where it has them.
+    The package allocates coherent measures only: es at every level and the
+    expectile from tau = 1/2 on. The row weighting gives the expectile's
+    gradient below 1/2 as well, but there the expectile is not coherent."""
+    if kind.family is MeasureFamily.EXPECTED_SHORTFALL:
+        return None
+    if kind.family is not MeasureFamily.EXPECTILE:
+        return f"contributions are defined for es and expectile, not {kind.family.value}"
+    t = kind.level.value
+    return None if t >= 0.5 else f"expectile contributions require tau >= 1/2, got {t}"
 
 
 def _allocate(panel: LossPanel, kind: MeasureKind, law: DiscreteDistribution) -> AllocationResult:
     """The Euler allocation of ``kind``, given the panel's portfolio law: each
     contribution is its column's sum under the measure's row weighting."""
-    if kind.family not in _EULER_FAMILIES:
-        raise ValueError(f"contributions are defined for es and expectile, not {kind.family.value}")
+    if (reason := _no_contributions(kind)) is not None:
+        raise ValueError(reason)
     portfolio = panel.portfolio_losses()
     w = panel.weights
     if kind.family is MeasureFamily.EXPECTED_SHORTFALL:
@@ -197,7 +197,6 @@ def _allocate(panel: LossPanel, kind: MeasureKind, law: DiscreteDistribution) ->
         nonunique_gradient = boundary_mass > 1e-12
     else:
         t = kind.level.value
-        _check_expectile_tau(t)
         total = expectile(law, t)
         above = portfolio > total
         p_above = float(np.sum(w[above]))
@@ -214,71 +213,14 @@ def _allocate(panel: LossPanel, kind: MeasureKind, law: DiscreteDistribution) ->
     )
 
 
-def _index(total: float, standalone: Sequence[float]) -> float:
-    denominator = math.fsum(standalone)
-    if denominator == 0.0:
-        raise DegenerateDenominatorError(
-            "sum of standalone measures is zero; the diversification index is undefined"
-        )
-    return total / denominator
-
-
-def _marginal_index(contribution: float, standalone: float, i: int) -> float:
-    if standalone == 0.0:
-        raise DegenerateDenominatorError(
-            f"standalone measure of position {i} is zero; the marginal index is undefined"
-        )
-    return contribution / standalone
-
-
-def _benefit(rac_total: float, rac_parts: Iterable[float]) -> float:
-    denominator = math.fsum(rac_parts)
-    if denominator <= 0.0:
-        raise DegenerateDenominatorError(
-            "sum of standalone risk-adjusted capital must be positive"
-        )
-    return 1.0 - rac_total / denominator
-
-
-def diversification_index(panel: LossPanel, kind: MeasureKind) -> float:
-    """Portfolio measure divided by the sum of standalone position measures.
-
-    At most 1 for subadditive measures with a positive denominator; equal to
-    1 when the positions are comonotone and the measure is comonotonically
-    additive.
-    """
-    standalone = [evaluate(panel.column_law(i), kind) for i in range(panel.n_positions)]
-    return _index(evaluate(panel.portfolio_law(), kind), standalone)
-
-
-def marginal_diversification_index(panel: LossPanel, i: int, kind: MeasureKind) -> float:
-    """Euler contribution of position ``i`` divided by its standalone measure."""
-    if not 0 <= i < panel.n_positions:
-        raise IndexError(f"position i = {i} must lie in [0, m) for m = {panel.n_positions} positions")
-    allocation = _allocate(panel, kind, panel.portfolio_law())
-    standalone = evaluate(panel.column_law(i), kind)
-    return _marginal_index(allocation.contributions[i], standalone, i)
-
-
-def diversification_benefit(panel: LossPanel, kind: MeasureKind) -> float:
-    """1 - RAC(portfolio) / sum of standalone RACs.
-
-    1 means a fully hedged portfolio, 0 comonotone risks, and a value in
-    between the fraction of capital saved by diversification.
-    """
-    return _benefit(
-        risk_adjusted_capital(panel.portfolio_law(), kind),
-        (risk_adjusted_capital(panel.column_law(i), kind) for i in range(panel.n_positions)),
-    )
-
-
 @dataclass(frozen=True)
 class DiversificationResult:
     """The diversification index, benefit and marginal indices of one panel
     under one measure. A result whose denominator is degenerate is ``None``,
-    and ``warnings`` holds why, in the order index, benefit, positions.
-    ``marginal_indices`` is ``None`` for a measure without Euler
-    contributions; only es and expectile have them."""
+    and ``warnings`` holds why, in the order index, benefit, positions: the
+    k-th ``None`` among ``(index, benefit, *marginal_indices)`` owns the k-th
+    warning. ``marginal_indices`` is ``None`` for a measure without Euler
+    contributions: VaR, mean, variance and the expectile below 1/2."""
 
     index: float | None
     benefit: float | None
@@ -288,36 +230,77 @@ class DiversificationResult:
 
 def diversify(panel: LossPanel, kind: MeasureKind) -> DiversificationResult:
     """Every diversification result from one allocation, the portfolio law
-    and each position's law built once. Each value equals the one
-    :func:`diversification_index`, :func:`diversification_benefit` or
-    :func:`marginal_diversification_index` returns. Only coherent measures
-    are allocated, so an expectile below 1/2 raises :class:`ValueError` here,
-    as the marginal index does, though :func:`diversification_index` has a
-    value."""
+    and each position's law built once; :func:`diversification_index`,
+    :func:`diversification_benefit` and :func:`marginal_diversification_index`
+    each read one of them. Positions are allocated only where the measure has
+    Euler contributions."""
     law = panel.portfolio_law()
-    allocation = _allocate(panel, kind, law) if kind.family in _EULER_FAMILIES else None
+    allocation = None if _no_contributions(kind) else _allocate(panel, kind, law)
     total = evaluate(law, kind) if allocation is None else allocation.total
-    rac_total = total - mean(law)  # risk_adjusted_capital(law, kind)
     standalone, rac_parts = [], []
     for i in range(panel.n_positions):
         column = panel.column_law(i)  # one position's law at a time
         standalone.append(evaluate(column, kind))
         rac_parts.append(standalone[-1] - mean(column))
     warnings: list[str] = []
-
-    def attempt(ratio, *args) -> float | None:
-        try:
-            return ratio(*args)
-        except DegenerateDenominatorError as exc:
-            warnings.append(str(exc))
-            return None
-
-    index = attempt(_index, total, standalone)
-    benefit = attempt(_benefit, rac_total, rac_parts)
-    marginal = None
+    index = benefit = marginal = None
+    if (denominator := math.fsum(standalone)) == 0.0:
+        warnings.append(
+            "sum of standalone measures is zero; the diversification index is undefined"
+        )
+    else:
+        index = total / denominator
+    if (denominator := math.fsum(rac_parts)) <= 0.0:
+        warnings.append("sum of standalone risk-adjusted capital must be positive")
+    else:
+        benefit = 1.0 - (total - mean(law)) / denominator
     if allocation is not None:
         marginal = tuple(
-            attempt(_marginal_index, c, s, i)
-            for i, (c, s) in enumerate(zip(allocation.contributions, standalone))
+            None if s == 0.0 else c / s for c, s in zip(allocation.contributions, standalone)
+        )
+        warnings.extend(
+            f"standalone measure of position {i} is zero; the marginal index is undefined"
+            for i, s in enumerate(standalone)
+            if s == 0.0
         )
     return DiversificationResult(index, benefit, marginal, tuple(warnings))
+
+
+def _read(found: DiversificationResult, k: int) -> float:
+    """Value k of ``(index, benefit, *marginal_indices)``; where it is
+    undefined, :class:`DegenerateDenominatorError` with its warning."""
+    values = (found.index, found.benefit, *(found.marginal_indices or ()))
+    if values[k] is None:
+        raise DegenerateDenominatorError(found.warnings[values[:k].count(None)])
+    return values[k]
+
+
+def diversification_index(panel: LossPanel, kind: MeasureKind) -> float:
+    """Portfolio measure divided by the sum of standalone position measures.
+
+    At most 1 for subadditive measures with a positive denominator; equal to
+    1 when the positions are comonotone and the measure is comonotonically
+    additive. It costs a whole :func:`diversify` call: call that for more
+    than one value.
+    """
+    return _read(diversify(panel, kind), 0)
+
+
+def diversification_benefit(panel: LossPanel, kind: MeasureKind) -> float:
+    """1 - RAC(portfolio) / sum of standalone RACs.
+
+    1 means a fully hedged portfolio, 0 comonotone risks, and a value in
+    between the fraction of capital saved by diversification. It costs a
+    whole :func:`diversify` call: call that for more than one value.
+    """
+    return _read(diversify(panel, kind), 1)
+
+
+def marginal_diversification_index(panel: LossPanel, i: int, kind: MeasureKind) -> float:
+    """Euler contribution of position ``i`` divided by its standalone measure.
+    It costs a whole :func:`diversify` call: call that for more than one value."""
+    if not 0 <= i < panel.n_positions:
+        raise IndexError(f"position i = {i} must lie in [0, m) for m = {panel.n_positions} positions")
+    if (reason := _no_contributions(kind)) is not None:
+        raise ValueError(reason)
+    return _read(diversify(panel, kind), 2 + i)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .allocation import LossPanel, diversify, es_contributions, expectile_contributions
-from .allocation import _check_expectile_tau
+from .allocation import _no_contributions
 from .backtest import (
     TestResult,
     _check_significance,
@@ -403,8 +403,8 @@ def _run_measure(config: argparse.Namespace, warnings: list[str]) -> dict:
 def _run_allocate(config: argparse.Namespace, warnings: list[str]) -> dict:
     """Euler risk contributions per position"""
     kind = MeasureKind.named(config.kind, config.level)
-    if kind.family is MeasureFamily.EXPECTILE:
-        _check_expectile_tau(config.level)
+    if (reason := _no_contributions(kind)) is not None:
+        raise ValueError(reason)
     panel = parse_panel_csv(config.input)
     if kind.family is MeasureFamily.EXPECTED_SHORTFALL:
         allocation = es_contributions(panel, kind.level)
@@ -427,8 +427,8 @@ def _run_allocate(config: argparse.Namespace, warnings: list[str]) -> dict:
 def _run_diversify(config: argparse.Namespace, warnings: list[str]) -> dict:
     """diversification index and benefit"""
     kind = MeasureKind.named(config.kind, config.level)
-    if kind.family is MeasureFamily.EXPECTILE:
-        _check_expectile_tau(config.level)
+    if kind.family is MeasureFamily.EXPECTILE and (reason := _no_contributions(kind)):
+        raise ValueError(reason)
     panel = parse_panel_csv(config.input)
     found = diversify(panel, kind)
     warnings.extend(found.warnings)

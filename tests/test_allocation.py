@@ -301,12 +301,22 @@ class TestDiversify:
             "standalone measure of position 1 is zero",
         ]
 
-    def test_expectile_below_one_half_raises_like_the_marginal_index(self):
+    def test_expectile_below_one_half_has_no_marginal_indices(self):
+        # below 1/2 the expectile is not coherent, so it is not allocated, as VaR
+        # is not: the index is 0.75 / (0.3 + 0.3), and the standalone RACs sum
+        # to 2 * (0.3 - 0.5) = -0.4, so the benefit is undefined
         p = bernoulli_product_panel()
+        kind = MeasureKind.expectile(0.3)
+        found = diversify(p, kind)
+        assert found.index == pytest.approx(1.25)
+        assert found.benefit is None
+        assert found.warnings == ("sum of standalone risk-adjusted capital must be positive",)
+        assert found.marginal_indices is None
+        assert diversification_index(p, kind) == found.index
+        with pytest.raises(DegenerateDenominatorError, match="risk-adjusted capital"):
+            diversification_benefit(p, kind)
         with pytest.raises(ValueError, match="tau >= 1/2"):
-            diversify(p, MeasureKind.expectile(0.3))
-        # though the index, which needs no allocation, has a value: 0.75 / (0.3 + 0.3)
-        assert diversification_index(p, MeasureKind.expectile(0.3)) == pytest.approx(1.25)
+            marginal_diversification_index(p, 0, kind)
 
 
 class TestMarginalDiversificationIndex:

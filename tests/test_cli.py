@@ -781,11 +781,13 @@ class TestDiversifyCommand:
             assert results["marginal_indices"][name] == want
 
     @pytest.mark.parametrize(
-        "text", ["a,b\n0,0\n0,0\n", "a,b,c\n1,0,2\n1,0,-2\n", "a,b\n1,0\n3,0\n"]
+        "text",
+        ["a,b\n0,0\n0,0\n", "a,b,c\n1,0,2\n1,0,-2\n", "a,b\n1,0\n3,0\n", "a,b\n1,0\n1,0\n"],
     )
     def test_warnings_follow_the_public_functions(self, tmp_path, capsys, text):
         # zero standalone values: each undefined result is null, and its
-        # warning comes in the order index, benefit, positions
+        # warning comes in the order index, benefit, positions; in the last
+        # panel a defined index comes ahead of an undefined benefit and index of b
         path = write(tmp_path / "p.csv", text)
         panel = parse_panel_csv(path)
         measure = MeasureKind.es(0.5)

@@ -3,6 +3,7 @@ the expectile solver, and the quantile approximation of expected shortfall."""
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from tailrisk import (
     ComonotonePair,
@@ -452,3 +453,57 @@ class TestQuantileApproximation:
         for points in (1, 17):
             with pytest.raises(ValueError):
                 supporting_levels(0.95, points)
+
+
+# How far the average of a continuous law's true quantiles at the four (K = 4)
+# or eight supporting levels of 0.975 falls below its expected shortfall, in
+# percent of ES, rounded to 0.01 as the README's table quotes it.
+FOUR_QUANTILE_BIAS = {
+    "normal": (stats.norm(), {4: 6.12, 8: 3.57}),
+    "t5": (stats.t(5), {4: 12.29, 8: 7.88}),
+    "t3": (stats.t(3), {4: 19.03, 8: 13.03}),
+    "t2.5": (stats.t(2.5), {4: 23.31, 8: 16.51}),
+}
+
+
+def closed_form_es(law, alpha):
+    """ES of a standard normal, phi(z)/(1 - a), or of a standard Student t(nu),
+    f(q)(nu + q^2)/((nu - 1)(1 - a)), with z and q the laws' alpha-quantiles."""
+    q = law.ppf(alpha)
+    if law.dist.name == "norm":
+        return law.pdf(q) / (1.0 - alpha)
+    nu = law.args[0]
+    return law.pdf(q) * (nu + q * q) / ((nu - 1.0) * (1.0 - alpha))
+
+
+class TestFourQuantileBias:
+    """The supporting quantiles' average understates ES on continuous laws,
+    the more so the heavier the tail: a left-endpoint Riemann sum of an
+    increasing quantile function that is unbounded near 1."""
+
+    ALPHA = 0.975
+
+    @pytest.mark.parametrize("name", FOUR_QUANTILE_BIAS)
+    def test_closed_form_es_is_the_tail_mean(self, name):
+        # quad integrates x f(x) over the tail to 1e-12 relative and reports
+        # its error; the closed form is a few roundings on scipy's pdf and
+        # ppf, each near 1e-15 relative, so 1e-13 of ES bounds it a
+        # hundredfold
+        law = FOUR_QUANTILE_BIAS[name][0]
+        tail, error = integrate.quad(
+            lambda x: x * law.pdf(x), law.ppf(self.ALPHA), np.inf, epsabs=0.0, epsrel=1e-12
+        )
+        es = closed_form_es(law, self.ALPHA)
+        assert abs(tail / (1.0 - self.ALPHA) - es) <= (error / (1.0 - self.ALPHA) + 1e-13 * es)
+
+    @pytest.mark.parametrize("name", FOUR_QUANTILE_BIAS)
+    @pytest.mark.parametrize("points", [4, 8])
+    def test_the_average_falls_below_es_by_the_quoted_share(self, name, points):
+        # the quoted share is rounded to 0.01 percent, so it lies within half
+        # of that of the exact share
+        law, quoted = FOUR_QUANTILE_BIAS[name]
+        average = float(np.mean(law.ppf(supporting_levels(self.ALPHA, points))))
+        es = closed_form_es(law, self.ALPHA)
+        assert average < es
+        assert abs(100.0 * (1.0 - average / es) - quoted[points]) <= 0.005
+
