@@ -6,8 +6,11 @@ sum to one. Losses follow the positive-for-loss sign convention, so gains
 appear as negative atoms. Empirical samples are equal-weight instances with
 exact duplicates merged at construction.
 
-All values are immutable after construction and every operation is a pure
-function, so instances are safe to share across threads.
+A law's atoms and weights are immutable after construction. A law also keeps
+the last level each of VaR, expected shortfall and the expectile was asked at,
+with the value there (see ``measures``): each store is one tuple assigned at
+once, and every writer stores the same bits, so instances are safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ class Level:
     kind: LevelKind
 
     def __post_init__(self) -> None:
-        _check_level(self.value)
+        object.__setattr__(self, "value", _check_level(float(self.value)))
 
     @classmethod
     def quantile(cls, value: float) -> "Level":
@@ -164,6 +167,7 @@ class DiscreteDistribution:
         object.__setattr__(self, "atoms", merged_atoms)
         object.__setattr__(self, "weights", merged_weights)
         object.__setattr__(self, "cum_weights", cum)
+        object.__setattr__(self, "_measured", {})  # kernel name -> (last level, value)
 
     @classmethod
     def from_sample(cls, values: Sequence[float]) -> "DiscreteDistribution":
@@ -179,12 +183,16 @@ class DiscreteDistribution:
         return self.atoms.item(self.cum_weights.searchsorted(_check_level(u)))
 
     def cdf(self, x: float) -> float:
-        """P(L <= x)."""
+        """P(L <= x); a NaN ``x`` raises ValueError."""
+        if math.isnan(x):  # searchsorted would place it above every atom
+            raise ValueError("x must not be NaN")
         k = int(self.atoms.searchsorted(x, side="right"))
         return 0.0 if k == 0 else float(self.cum_weights[k - 1])
 
     def cdf_left(self, x: float) -> float:
-        """P(L < x), the left limit of the cdf at ``x``."""
+        """P(L < x), the left limit of the cdf at ``x``; a NaN ``x`` raises ValueError."""
+        if math.isnan(x):
+            raise ValueError("x must not be NaN")
         k = int(self.atoms.searchsorted(x))
         return 0.0 if k == 0 else float(self.cum_weights[k - 1])
 

@@ -45,10 +45,14 @@ class MeasureFamily(Enum):
     EXPECTILE = "expectile"
 
 
-_LEVEL_KIND_BY_FAMILY = {
-    MeasureFamily.VALUE_AT_RISK: LevelKind.QUANTILE,
-    MeasureFamily.EXPECTED_SHORTFALL: LevelKind.QUANTILE,
-    MeasureFamily.EXPECTILE: LevelKind.EXPECTILE,
+# each family's level kind (None: it takes no level) and its value on a law; the lambdas
+# look the measures up at call time, so a wrapper bound over a module name sees evaluate
+_FAMILIES = {
+    MeasureFamily.MEAN: (None, lambda d, level: mean(d)),
+    MeasureFamily.VARIANCE: (None, lambda d, level: variance(d)),
+    MeasureFamily.VALUE_AT_RISK: (LevelKind.QUANTILE, lambda d, level: value_at_risk(d, level)),
+    MeasureFamily.EXPECTED_SHORTFALL: (LevelKind.QUANTILE, lambda d, level: expected_shortfall(d, level)),
+    MeasureFamily.EXPECTILE: (LevelKind.EXPECTILE, lambda d, level: expectile(d, level)),
 }
 
 
@@ -64,7 +68,7 @@ class MeasureKind:
     level: Level | None = None
 
     def __post_init__(self) -> None:
-        wanted = _LEVEL_KIND_BY_FAMILY.get(self.family)
+        wanted = _FAMILIES[self.family][0]
         if wanted is None:
             if self.level is not None:
                 raise ValueError(f"{self.family.value} takes no level")
@@ -102,7 +106,7 @@ class MeasureKind:
         """The measure of the family whose value is ``name``, at ``level``; the
         constructor refuses a level the family does not take, or lacks."""
         family = MeasureFamily(name)
-        wanted = _LEVEL_KIND_BY_FAMILY.get(family)
+        wanted = _FAMILIES[family][0]
         return cls(family, level if wanted is None or level is None else Level(float(level), wanted))
 
     @property
@@ -123,9 +127,20 @@ def variance(d: DiscreteDistribution) -> float:
     return _dot(centered * centered, d.weights)
 
 
+def _kept(d: DiscreteDistribution, level: "Level | float", kind: LevelKind, kernel) -> float:
+    """``kernel(d, x)`` for the float ``x`` of a level of role ``kind``, checked
+    first. The law keeps the last ``x`` and value under the kernel's name: a
+    repeat call at ``x`` returns that float, a call at a new level replaces it."""
+    x = level_value(level, kind)
+    last = d._measured.get(kernel.__qualname__)
+    if last is None or last[0] != x:
+        last = d._measured[kernel.__qualname__] = (x, kernel(d, x))
+    return last[1]
+
+
 def value_at_risk(d: DiscreteDistribution, alpha: "Level | float") -> float:
     """The alpha-quantile of the loss law, inf{l : P(L <= l) >= alpha}."""
-    return d.quantile(level_value(alpha, LevelKind.QUANTILE))
+    return _kept(d, alpha, LevelKind.QUANTILE, DiscreteDistribution.quantile)
 
 
 def expected_shortfall(d: DiscreteDistribution, alpha: "Level | float") -> float:
@@ -134,7 +149,10 @@ def expected_shortfall(d: DiscreteDistribution, alpha: "Level | float") -> float
     On a finite law the quantile function is a step function, so the integral
     is a finite sum over the cumulative-weight segments above ``alpha``.
     """
-    a = level_value(alpha, LevelKind.QUANTILE)
+    return _kept(d, alpha, LevelKind.QUANTILE, _expected_shortfall)
+
+
+def _expected_shortfall(d: DiscreteDistribution, a: float) -> float:
     # segment k is cum_k - max(cum_{k-1}, a) where cum_k >= a, and +0.0 below
     edges = np.empty(d.atoms.size + 1)
     edges[0] = a
@@ -153,7 +171,10 @@ def expectile(d: DiscreteDistribution, tau: "Level | float") -> float:
     the sign change. Bisection ends within ceil(log2 n) steps and no iterative
     tuning is involved; the result is exact up to floating-point rounding.
     """
-    t = level_value(tau, LevelKind.EXPECTILE)
+    return _kept(d, tau, LevelKind.EXPECTILE, _expectile)
+
+
+def _expectile(d: DiscreteDistribution, t: float) -> float:
     at = d.atoms.item  # the bisection reads Python floats
     cum_w = d.cum_weights.item
     cum_aw = np.add.accumulate(d.atoms * d.weights).item
@@ -189,17 +210,7 @@ def risk_adjusted_capital(d: DiscreteDistribution, kind: MeasureKind) -> float:
 
 def evaluate(d: DiscreteDistribution, kind: MeasureKind) -> float:
     """Evaluate a :class:`MeasureKind` on a law."""
-    if kind.family is MeasureFamily.MEAN:
-        return mean(d)
-    if kind.family is MeasureFamily.VARIANCE:
-        return variance(d)
-    if kind.family is MeasureFamily.VALUE_AT_RISK:
-        return value_at_risk(d, kind.level)
-    if kind.family is MeasureFamily.EXPECTED_SHORTFALL:
-        return expected_shortfall(d, kind.level)
-    if kind.family is MeasureFamily.EXPECTILE:
-        return expectile(d, kind.level)
-    raise ValueError(f"unknown measure family {kind.family!r}")
+    return _FAMILIES[kind.family][1](d, kind.level)
 
 
 def es_quantile_approximation(

@@ -148,6 +148,16 @@ def mean_score(s: ScoringFunction, forecast: float | np.ndarray, sample: Sequenc
     return math.fsum(score(s, _finite(forecast, "forecast"), values).tolist()) / values.size
 
 
+# the minimizer of each score's empirical mean, from the sample's law
+_ELICITED = {
+    ScoreKind.SQUARED_ERROR: lambda s, law: mean(law),
+    ScoreKind.ABSOLUTE_ERROR: lambda s, law: value_at_risk(law, 0.5),
+    ScoreKind.WEIGHTED_ABSOLUTE_ERROR: lambda s, law: value_at_risk(law, s.level),
+    ScoreKind.WEIGHTED_SQUARED_ERROR: lambda s, law: expectile(law, s.level),
+    ScoreKind.TAIL_MEAN: lambda s, law: max(s.threshold, mean(law)),
+}
+
+
 def elicit(s: ScoringFunction, sample: Sequence[float]) -> float:
     """Minimize the empirical mean score over forecasts.
 
@@ -160,18 +170,7 @@ def elicit(s: ScoringFunction, sample: Sequence[float]) -> float:
     threshold it is minimized at ``max(threshold, mean)``. Non-finite sample
     values are rejected.
     """
-    law = DiscreteDistribution.from_sample(sample)
-    if s.kind is ScoreKind.SQUARED_ERROR:
-        return mean(law)
-    if s.kind is ScoreKind.ABSOLUTE_ERROR:
-        return value_at_risk(law, 0.5)
-    if s.kind is ScoreKind.WEIGHTED_ABSOLUTE_ERROR:
-        return value_at_risk(law, s.level)
-    if s.kind is ScoreKind.WEIGHTED_SQUARED_ERROR:
-        return expectile(law, s.level)
-    if s.kind is ScoreKind.TAIL_MEAN:
-        return max(s.threshold, mean(law))
-    raise ValueError(f"unknown score kind {s.kind!r}")  # pragma: no cover
+    return _ELICITED[s.kind](s, DiscreteDistribution.from_sample(sample))
 
 
 def two_step_es_forecast(

@@ -1,6 +1,8 @@
 """Tests for the discrete-distribution substrate: construction, quantiles,
 comonotone couplings, and the Wasserstein distance."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,14 @@ class TestQuantileAndCdf:
         d = uniform_1_to_100()
         assert d.cdf(0.5) == 0.0
         assert d.cdf_left(1.0) == 0.0
+
+    def test_cdf_refuses_nan(self):
+        """searchsorted sorts NaN above every atom, where both cdfs would read 1.0."""
+        d = DiscreteDistribution.from_sample([1.0, 2.0, 3.0])
+        for cdf in (d.cdf, d.cdf_left):
+            with pytest.raises(ValueError, match="NaN"):
+                cdf(float("nan"))
+            assert cdf(math.inf) == 1.0 and cdf(-math.inf) == 0.0
 
     def test_quantile_cdf_sandwich_random_laws(self):
         rng = np.random.default_rng(7)

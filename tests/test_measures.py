@@ -1,10 +1,19 @@
 """Tests for the risk measures: exact values, coherence-style properties,
 the expectile solver, and the quantile approximation of expected shortfall."""
 
+import copy
+import math
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from tailrisk import measures
 from tailrisk import (
     ComonotonePair,
     DiscreteDistribution,
@@ -507,3 +516,146 @@ class TestFourQuantileBias:
         assert average < es
         assert abs(100.0 * (1.0 - average / es) - quoted[points]) <= 0.005
 
+
+
+# each measure that a law keeps the last value of, the kernel that computes
+# it, and the role of its level
+KEPT = [
+    (value_at_risk, DiscreteDistribution.quantile, LevelKind.QUANTILE),
+    (expected_shortfall, measures._expected_shortfall, LevelKind.QUANTILE),
+    (expectile, measures._expectile, LevelKind.EXPECTILE),
+]
+
+
+def skewed_law():
+    """A law whose measures all move under scale(-1), scale(2) and shift(1)."""
+    return DiscreteDistribution(np.array([0.0, 1.0, 2.0, 5.0]), np.array([0.1, 0.2, 0.3, 0.4]))
+
+
+def test_every_law_of_the_big_sweep_keeps_its_kernels_bits():
+    """The sweep's 12,870 panels share 585 laws: each law's first call and
+    every repeat, on this panel and on later ones, have the kernel's bits."""
+    distinct = {}
+    for _, _, law in _sweep_laws(8):
+        distinct[id(law)] = law
+        for measure, kernel, _ in KEPT:
+            want = kernel(law, 0.8).hex()
+            assert measure(law, 0.8).hex() == want
+            assert measure(law, 0.8).hex() == want
+    assert len(distinct) == 585
+
+
+@st.composite
+def interleaved_calls(draw):
+    """A law with equal or unequal weights, and calls (measure, level, as a
+    Level or a float) at levels that repeat and change."""
+    sample = draw(st.lists(st.one_of(st.integers(-5, 5).map(float), st.floats(-1e3, 1e3)),
+                           min_size=1, max_size=30))
+    if draw(st.booleans()):
+        law = DiscreteDistribution.from_sample(sample)
+    else:
+        raw = np.array(draw(st.lists(st.floats(0.01, 10.0), min_size=len(sample), max_size=len(sample))))
+        law = DiscreteDistribution(sample, raw / math.fsum(raw))
+    level = st.one_of(st.sampled_from([0.2, 0.5, 0.8, 0.95]), st.floats(1e-3, 0.999))
+    calls = st.tuples(st.integers(0, 2), level, st.booleans())
+    return law, draw(st.lists(calls, min_size=1, max_size=40))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(interleaved_calls())
+def test_interleaved_levels_give_the_kernels_bits(case):
+    law, calls = case
+    for index, level, tagged in calls:
+        measure, kernel, kind = KEPT[index]
+        got = measure(law, Level(level, kind) if tagged else level)
+        assert got.hex() == kernel(law, level).hex()
+    assert len(law._measured) <= 3
+
+
+class TestKeptValues:
+    """A law keeps the last level each of VaR, ES and the expectile was asked
+    at, with the kernel's value there."""
+
+    def test_a_float_level_and_the_equal_level_share_one_entry(self):
+        law = skewed_law()
+        for measure, kernel, kind in KEPT:
+            measure(law, 0.8)
+            kept = dict(law._measured)
+            # a repeat stores nothing: each entry is the same tuple as before
+            for level in (Level(0.8, kind), np.float64(0.8), 0.8):
+                assert measure(law, level) == kernel(law, 0.8)
+                assert all(law._measured[name] is kept[name] for name in kept)
+        assert len(law._measured) == 3
+
+    @pytest.mark.parametrize("measure, kernel, kind", KEPT)
+    def test_a_level_holds_a_python_float(self, measure, kernel, kind):
+        """A Level of a numpy float32 is measured at its value as a Python
+        float, as the same float32 passed plainly is."""
+        level = Level(np.float32(0.8), kind)
+        assert type(level.value) is float
+        law = skewed_law()
+        assert measure(law, level).hex() == kernel(law, float(np.float32(0.8))).hex()
+        assert measure(law, np.float32(0.8)).hex() == measure(skewed_law(), level).hex()
+
+    @pytest.mark.parametrize("measure, kernel, kind", KEPT)
+    def test_a_bad_level_raises_on_a_measured_law(self, measure, kernel, kind):
+        law = skewed_law()
+        want = measure(law, 0.8)
+        other = LevelKind.EXPECTILE if kind is LevelKind.QUANTILE else LevelKind.QUANTILE
+        for bad in (0.0, 1.0, -0.5, 1.5, math.nan, Level(0.8, other)):
+            with pytest.raises(ValueError):
+                measure(law, bad)
+        assert measure(law, 0.8) == want == kernel(law, 0.8)
+
+    @pytest.mark.parametrize("measure, kernel, kind", KEPT)
+    def test_a_scaled_or_shifted_law_is_measured_afresh(self, measure, kernel, kind):
+        law = skewed_law()
+        parent = measure(law, 0.8)
+        for derived in (law.scale(-1.0), law.scale(2.0), law.shift(1.0)):
+            assert derived._measured == {}
+            got = measure(derived, 0.8)
+            assert got.hex() == kernel(derived, 0.8).hex()
+            assert got != parent
+
+    def test_a_law_keeps_one_entry_per_measure(self):
+        law = DiscreteDistribution.from_sample(np.arange(20.0))
+        levels = [(k + 0.5) / 10_000 for k in range(10_000)]
+        for level in levels:
+            for measure, _, _ in KEPT:
+                measure(law, level)
+        assert len(law._measured) == 3
+        assert [last for last, _ in law._measured.values()] == [levels[-1]] * 3
+
+    def test_a_measured_law_pickles_and_deep_copies(self):
+        law = skewed_law()
+        values = [measure(law, 0.8) for measure, _, _ in KEPT]
+        for copied in (pickle.loads(pickle.dumps(law)), copy.deepcopy(law)):
+            assert copied._measured == law._measured
+            assert copied.atoms.tobytes() == law.atoms.tobytes()
+            assert [measure(copied, 0.8) for measure, _, _ in KEPT] == values
+            assert [measure(copied, 0.3) for measure, _, _ in KEPT] == [
+                kernel(law, 0.3) for _, kernel, _ in KEPT
+            ]
+
+    def test_threads_measuring_one_law_get_the_kernels_bits(self):
+        law = DiscreteDistribution.from_sample(np.random.default_rng(3).standard_normal(2000))
+        levels = (0.5, 0.8, 0.9, 0.95, 0.99)
+        want = {(i, a): kernel(law, a).hex() for i, (_, kernel, _) in enumerate(KEPT) for a in levels}
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            calls = zip(rng.integers(3, size=2000).tolist(), rng.integers(len(levels), size=2000).tolist())
+            return {KEPT[i][0](law, levels[k]).hex() == want[i, levels[k]] for i, k in calls}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between the kept value's read and write
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                assert set().union(*pool.map(work, range(8), timeout=120)) == {True}
+        finally:
+            sys.setswitchinterval(interval)
+        # each entry is a whole pair: a level and its kernel's value there
+        kernels = {kernel.__qualname__: kernel for _, kernel, _ in KEPT}
+        assert len(law._measured) == 3
+        for name, (level, value) in law._measured.items():
+            assert value.hex() == kernels[name](law, level).hex()
